@@ -1,8 +1,18 @@
 """Bootstrap CDs: raw percentile, reflected, studentized, and skew-corrected.
 
-All variants share one resampling engine.  The full (B, n) index block is
-drawn in a single vectorized call, so replicate r is a fixed function of the
-stream and the dimensions, independent of evaluation order or thread count.
+All variants share one resampling engine, :func:`resample_block`.  The full
+(B, n) index block is drawn in a single vectorized call, so replicate r is a
+fixed function of the stream and the dimensions, independent of evaluation
+order or thread count.
+
+Block statistics.  The engine hands the gathered resamples to a block
+statistic: a function mapping an (m, n) array, one resample per row, to a
+pair (theta, se) of length-m float arrays, where se is None when the variant
+needs no standard error.  Row r of the output must depend on row r of the
+input alone.  Rows with a non-finite theta, or a non-finite or non-positive
+se, are excluded and counted; fewer than 100 survivors is an error.  The
+original sample is evaluated as a one-row block and must give a finite theta
+and, when present, a finite positive se.
 
 Conventions.  The raw CD is the right-continuous ECDF of the resampled
 statistics; the reflected CD pivots each atom through the original estimate
@@ -34,7 +44,10 @@ from .errors import (
 __all__ = [
     "ResamplePlan",
     "ReplicateSet",
+    "resample_block",
     "resample",
+    "mean_block",
+    "mean_se_block",
     "raw_bootstrap_cd",
     "reflected_bootstrap_cd",
     "bootstrap_t_cd",
@@ -79,20 +92,16 @@ def _index_block(stream: pk.RngStream, n_resamples: int, n: int) -> np.ndarray:
     return stream.generator().integers(0, n, size=(n_resamples, n))
 
 
-def resample(data: DataSample, plan: ResamplePlan, statistic,
-             se_statistic=None) -> ReplicateSet:
-    """Apply statistic (and optionally an se statistic) to every resample.
+def resample_block(data: DataSample, plan: ResamplePlan, block_statistic) -> ReplicateSet:
+    """Apply a block statistic to every resample, then to the original sample.
 
-    Rows with a non-finite statistic, or a non-finite or non-positive se,
-    are excluded and counted.  Fewer than 100 surviving rows is an error.
+    The module docstring states the block-statistic contract and which rows
+    are excluded.
     """
-    block = _index_block(plan.stream, plan.n_resamples, data.n)
-    rows = data.values[block]
-    theta = np.array([float(statistic(row)) for row in rows])
-    se = None
+    rows = data.values[_index_block(plan.stream, plan.n_resamples, data.n)]
+    theta, se = block_statistic(rows)
     keep = np.isfinite(theta)
-    if se_statistic is not None:
-        se = np.array([float(se_statistic(row)) for row in rows])
+    if se is not None:
         keep &= np.isfinite(se) & (se > 0.0)
     excluded = int(np.sum(~keep))
     theta = theta[keep]
@@ -104,14 +113,38 @@ def resample(data: DataSample, plan: ResamplePlan, statistic,
         raise InsufficientReplicatesError(
             f"only {theta.size} usable resamples after excluding {excluded}"
         )
-    theta_hat = float(statistic(data.values))
-    se_hat = float(se_statistic(data.values)) if se_statistic is not None else None
+    theta0, se0 = block_statistic(data.values[None, :])
+    theta_hat = float(theta0[0])
+    se_hat = float(se0[0]) if se0 is not None else None
     if not math.isfinite(theta_hat):
         raise DegenerateSampleError("statistic is not finite on the original sample")
     if se_hat is not None and not (math.isfinite(se_hat) and se_hat > 0.0):
         raise DegenerateSampleError("se statistic must be finite and positive on the original sample")
     return ReplicateSet(n=data.n, theta_hat=theta_hat, se_hat=se_hat,
                         theta=theta, se=se, excluded=excluded)
+
+
+def resample(data: DataSample, plan: ResamplePlan, statistic,
+             se_statistic=None) -> ReplicateSet:
+    """resample_block with per-row statistics: statistic(row) -> float."""
+
+    def block_statistic(rows):
+        theta = np.array([float(statistic(row)) for row in rows])
+        if se_statistic is None:
+            return theta, None
+        return theta, np.array([float(se_statistic(row)) for row in rows])
+
+    return resample_block(data, plan, block_statistic)
+
+
+def mean_block(rows: np.ndarray):
+    """Block statistic: the resample means, without standard errors."""
+    return rows.mean(axis=1), None
+
+
+def mean_se_block(rows: np.ndarray):
+    """Block statistic: the resample means and their standard errors s / sqrt(n)."""
+    return rows.mean(axis=1), rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
 
 
 def _meta(rep: ReplicateSet, variant: str, **extra) -> dict:
@@ -169,27 +202,25 @@ def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistrib
     """
     if data.n < 20:
         raise InsufficientDataError("skew-corrected bootstrap needs n >= 20")
-    block = _index_block(plan.stream, plan.n_resamples, data.n)
-    rows = data.values[block]
     n = data.n
     rn = math.sqrt(n)
-    means = rows.mean(axis=1)
-    sds = rows.std(axis=1, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m3 = ((rows - means[:, None]) ** 3).mean(axis=1)
-        lam = m3 / sds ** 3
-        t = rn * (means - data.mean) / sds
-        piv = t + lam / (6.0 * rn) * (2.0 * t * t + 1.0) + lam * lam / (27.0 * n) * t ** 3
-    keep = np.isfinite(piv)
-    excluded = int(np.sum(~keep))
-    piv = np.sort(piv[keep])
-    if piv.size < _MIN_RESAMPLES:
-        raise InsufficientReplicatesError(
-            f"only {piv.size} usable resamples after excluding {excluded}"
-        )
+    center = data.mean
+
+    def pivots(rows):
+        means = rows.mean(axis=1)
+        sds = rows.std(axis=1, ddof=1)
+        d = rows - means[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = (d * d * d).mean(axis=1) / sds ** 3
+            t = rn * (means - center) / sds
+            piv = t + lam / (6.0 * rn) * (2.0 * t * t + 1.0) + lam * lam / (27.0 * n) * t ** 3
+        return piv, None
+
+    rep = resample_block(data, plan, pivots)
+    piv = np.sort(rep.theta)
     b = piv.size
-    meta = {"variant": "hall", "n_resamples": b, "excluded": excluded,
-            "theta_hat": data.mean, "skewness": data.skewness}
+    meta = {"variant": "hall", "n_resamples": b, "excluded": rep.excluded,
+            "theta_hat": center, "skewness": data.skewness}
 
     def cdf(x):
         g = np.asarray(hall_pivot(data, x), dtype=float)

@@ -12,10 +12,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .cd_core import (
     ConfidenceDistribution,
@@ -26,6 +24,7 @@ from .cd_core import (
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
 from .inference import _integrability_check
+from .probkernel import gauss_legendre
 from .simlab import CdGenerator, map_indexed
 
 _DISPERSION_POINTS = 2048
@@ -119,10 +118,9 @@ def default_risk(theta0: float, scale: float, psi=identity_psi) -> RiskSpec:
 # ---------------------------------------------------------------------------
 # dispersion
 
-@lru_cache(maxsize=4)
 def _gauss_nodes(count: int):
     # Legendre nodes mapped to (0,1)
-    x, w = roots_legendre(count)
+    x, w = gauss_legendre(count)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

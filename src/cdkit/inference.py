@@ -184,8 +184,9 @@ def _interval_mass(cd, lo, hi):
     return float(np.clip(top - bot, 0.0, 1.0))
 
 
-def _ccf(cd, x):
-    h = float(cd_eval(cd, x))
+def _ccf(cd: ConfidenceDistribution, x: float) -> float:
+    """Two-sided centrality of a scalar CD at x: 2 min(H(x), 1 - H(x))."""
+    h = float(cd_eval(cd, float(x)))
     return 2.0 * min(h, 1.0 - h)
 
 

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .cd_core import ConfidenceDistribution, cd_eval, sample_cd
+from .cd_core import ConfidenceDistribution, sample_cd
 from .errors import (
     InsufficientDataError,
     MapDomainError,
     ParameterDomainError,
     SingularMatrixError,
 )
+# ccf_1d(cd, x) = 2 min(H(x), 1 - H(x)), the two-sided centrality of a scalar CD
+from .inference import _ccf as ccf_1d
 
 _MIN_CLOUD = 1000
 _MIN_DIRECTIONS = 180
@@ -264,12 +266,6 @@ def central_region_test(cf: CentralityFn, level: float, x) -> bool:
     if not 0.0 < level < 1.0:
         raise ParameterDomainError("level must lie strictly between 0 and 1")
     return centrality(cf, x) >= 1.0 - level
-
-
-def ccf_1d(cd: ConfidenceDistribution, x: float) -> float:
-    """Two-sided centrality of a scalar CD: 2 min(H(x), 1 - H(x))."""
-    h = float(cd_eval(cd, float(x)))
-    return 2.0 * min(h, 1.0 - h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Distribution primitives: CDFs, quantiles, log-space tails, seeded draws.
+"""Distribution primitives: CDFs, quantiles, log-space tails, seeded streams.
 
 Everything downstream of this module treats probability evaluation as exact.
 The log-space tail routines are the only nontrivial numerics here: they must
@@ -9,7 +9,7 @@ stay accurate where ordinary CDF evaluation underflows (tail masses far below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -25,12 +25,10 @@ __all__ = [
     "StudentT",
     "ChiSquare",
     "Uniform01",
-    "Empirical",
     "DistKind",
     "cdf",
     "quantile",
     "log_tail",
-    "draw",
     "gauss_legendre",
     "bracket_root",
 ]
@@ -115,23 +113,7 @@ class Uniform01:
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Empirical:
-    """Equal-weight atoms on a finite sample; CDF is the right-continuous ECDF."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float))
-        if vals.size < 1:
-            raise ParameterDomainError("Empirical needs at least one value")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterDomainError("Empirical values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-DistKind = Union[Normal, StudentT, ChiSquare, Uniform01, Empirical]
+DistKind = Union[Normal, StudentT, ChiSquare, Uniform01]
 
 
 def _as_float_array(x):
@@ -153,8 +135,6 @@ def cdf(d: DistKind, x) -> float | np.ndarray:
         out = np.where(arr > 0.0, _sp.chdtr(d.df, np.maximum(arr, 0.0)), 0.0)
     elif isinstance(d, Uniform01):
         out = np.clip(arr, 0.0, 1.0)
-    elif isinstance(d, Empirical):
-        out = np.searchsorted(d.values, arr, side="right") / d.values.size
     else:
         raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
     out = np.asarray(out, dtype=float)
@@ -162,11 +142,7 @@ def cdf(d: DistKind, x) -> float | np.ndarray:
 
 
 def quantile(d: DistKind, p) -> float | np.ndarray:
-    """Inverse CDF for p strictly inside (0, 1).
-
-    For Empirical kinds this is the usual left-continuous sample inverse: the
-    smallest atom whose ECDF weight reaches p.
-    """
+    """Inverse CDF for p strictly inside (0, 1)."""
     arr, scalar = _as_float_array(p)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("quantile requires probabilities strictly in (0, 1)")
@@ -178,11 +154,6 @@ def quantile(d: DistKind, p) -> float | np.ndarray:
         out = _sp.chdtri(d.df, 1.0 - arr)
     elif isinstance(d, Uniform01):
         out = arr.copy()
-    elif isinstance(d, Empirical):
-        n = d.values.size
-        # smallest m with m/n >= p; the 1e-12 slack absorbs float fuzz in n*p
-        idx = np.ceil(n * arr - 1e-12).astype(int)
-        out = d.values[np.clip(idx - 1, 0, n - 1)]
     else:
         raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
     out = np.asarray(out, dtype=float)
@@ -289,8 +260,7 @@ def _chi2_log_sf(df: float, x: float) -> float:
 def log_tail(d: DistKind, x: float, side: str) -> float:
     """log P(X <= x) for side='lower', log P(X > x) for side='upper'.
 
-    Stays accurate far past double underflow for the continuous kinds; an
-    empty empirical tail returns -inf.
+    Stays accurate far past double underflow.
     """
     if side not in ("lower", "upper"):
         raise ParameterDomainError("side must be 'lower' or 'upper'")
@@ -310,32 +280,6 @@ def log_tail(d: DistKind, x: float, side: str) -> float:
         if x >= 1.0:
             return -np.inf
         return 0.0 if x <= 0.0 else math.log1p(-x)
-    if isinstance(d, Empirical):
-        p = float(cdf(d, x))
-        if side == "lower":
-            return math.log(p) if p > 0.0 else -np.inf
-        return math.log1p(-p) if p < 1.0 else -np.inf
-    raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# draws
-
-def draw(stream: RngStream, d: DistKind, count: int) -> np.ndarray:
-    """count iid draws; a replayed stream reproduces the same vector."""
-    if count < 0:
-        raise ParameterDomainError("count must be nonnegative")
-    rng = stream.generator()
-    if isinstance(d, Normal):
-        return rng.normal(d.mean, d.sd, size=count)
-    if isinstance(d, StudentT):
-        return rng.standard_t(d.df, size=count)
-    if isinstance(d, ChiSquare):
-        return rng.chisquare(d.df, size=count)
-    if isinstance(d, Uniform01):
-        return rng.random(count)
-    if isinstance(d, Empirical):
-        return rng.choice(d.values, size=count, replace=True)
     raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
 
 
@@ -345,7 +289,9 @@ def draw(stream: RngStream, d: DistKind, count: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached."""
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    # scipy solves the banded Golub-Welsch problem: 0.2 s for 2048 points,
+    # against 2 s for numpy's dense companion-matrix leggauss
+    nodes, weights = _sp.roots_legendre(npts)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

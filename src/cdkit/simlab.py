@@ -17,15 +17,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from . import probkernel as pk
 from .bootstrap import (
     ResamplePlan,
     bootstrap_t_cd,
     hall_bootstrap_cd,
+    mean_block,
+    mean_se_block,
     raw_bootstrap_cd,
     reflected_bootstrap_cd,
-    resample,
+    resample_block,
 )
 from .cd_core import (
     ConfidenceDistribution,
@@ -43,7 +46,7 @@ from .constructors import (
     normal_mean_cd,
     normal_variance_cd,
 )
-from .errors import ConfigError, InsufficientDataError, ParameterDomainError
+from .errors import CdkitError, ConfigError, InsufficientDataError, ParameterDomainError
 from .likelihood import likelihood_acd
 
 __all__ = [
@@ -187,11 +190,9 @@ class CdGenerator:
         plan = ResamplePlan(int(self.params.get("B", 1000)), self.stream(index).child(1))
         if self.constructor == "hall-bootstrap":
             return hall_bootstrap_cd(sample, plan)
-        mean = lambda row: float(np.mean(row))
         if self.constructor == "bootstrap-t":
-            se = lambda row: float(np.std(row, ddof=1)) / math.sqrt(row.size)
-            return bootstrap_t_cd(resample(sample, plan, mean, se))
-        rep = resample(sample, plan, mean)
+            return bootstrap_t_cd(resample_block(sample, plan, mean_se_block))
+        rep = resample_block(sample, plan, mean_block)
         if self.constructor == "raw-bootstrap":
             return raw_bootstrap_cd(rep)
         return reflected_bootstrap_cd(rep)
@@ -219,19 +220,6 @@ class CdGenerator:
 # ---------------------------------------------------------------------------
 # uniformity test
 
-def _kolmogorov_sf(lam: float) -> float:
-    # 2 sum_k (-1)^{k-1} exp(-2 k^2 lam^2), truncated at 1e-10
-    if lam <= 1e-3:
-        return 1.0
-    total = 0.0
-    for k in range(1, 1001):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < 1e-10:
-            break
-    return float(min(max(total, 0.0), 1.0))
-
-
 def ks_uniform(u_values) -> tuple[float, float]:
     """Two-sided KS statistic against U(0,1) with the asymptotic p-value."""
     u = np.sort(np.asarray(u_values, dtype=float))
@@ -244,7 +232,7 @@ def ks_uniform(u_values) -> tuple[float, float]:
     d_plus = float(np.max(steps - u))
     d_minus = float(np.max(u - (steps - 1.0 / n)))
     d = max(d_plus, d_minus)
-    return d, _kolmogorov_sf(math.sqrt(n) * d)
+    return d, float(kolmogorov(math.sqrt(n) * d))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +260,7 @@ def _replicate_summary(gen: CdGenerator, index: int, levels):
                      for lo, hi in (central_interval(cd, lv) for lv in levels))
         below = bool(cd_quantile(cd, 0.5) <= gen.theta0)
         return u, hits, below
-    except Exception:
+    except CdkitError:
         return None
 
 

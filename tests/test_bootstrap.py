@@ -12,9 +12,12 @@ from cdkit.bootstrap import (
     bootstrap_t_cd,
     dump_replicates,
     hall_bootstrap_cd,
+    mean_block,
+    mean_se_block,
     raw_bootstrap_cd,
     reflected_bootstrap_cd,
     resample,
+    resample_block,
 )
 from cdkit.cd_core import cd_eval, cd_quantile, central_interval
 from cdkit.constructors import DataSample, hall_pivot, hall_pivot_inverse
@@ -66,6 +69,27 @@ class TestResampling:
         data = DataSample([0.0, 0.0, 0.0, 0.0, 1.0])
         with pytest.raises(InsufficientReplicatesError):
             resample(data, ResamplePlan(100, RngStream(5)), _mean, _se)
+
+    @pytest.mark.parametrize("values", [
+        *(np.random.default_rng(n).gamma(2.0, 1.5, size=n) for n in (2, 3, 7, 20, 100, 257)),
+        np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+    ])
+    def test_axis_reductions_equal_per_row_statistics(self, values):
+        # the block statistics the calibration recipes use must reproduce the
+        # per-row reference bit for bit, degenerate (zero-spread) rows included
+        data = DataSample(values)
+        plan = ResamplePlan(300, RngStream(61, values.size))
+        for block, stats in ((mean_block, (_mean,)), (mean_se_block, (_mean, _se))):
+            fast = resample_block(data, plan, block)
+            ref = resample(data, plan, *stats)
+            assert fast.excluded == ref.excluded
+            assert fast.theta_hat == ref.theta_hat and fast.se_hat == ref.se_hat
+            assert np.array_equal(fast.theta, ref.theta)
+            assert (fast.se is None) == (ref.se is None)
+            if ref.se is not None:
+                assert np.array_equal(fast.se, ref.se)
+        if values.size == 5:
+            assert resample_block(data, plan, mean_se_block).excluded > 0
 
     def test_dump_replicates_csv(self, skewed_data, tmp_path):
         rep = resample(skewed_data, ResamplePlan(120, RngStream(8)), _mean, _se)

@@ -14,14 +14,12 @@ import pytest
 from cdkit.errors import ParameterDomainError
 from cdkit.probkernel import (
     ChiSquare,
-    Empirical,
     Normal,
     RngStream,
     StudentT,
     Uniform01,
     bracket_root,
     cdf,
-    draw,
     log_tail,
     quantile,
 )
@@ -88,15 +86,10 @@ def test_t_cdf_matches_mp():
             assert abs(cdf(StudentT(df), x) - float(t_cdf_mp(df, x))) < 1e-13
 
 
-def test_uniform_and_empirical_cdf():
+def test_uniform_cdf():
     assert cdf(Uniform01(), -0.5) == 0.0
     assert cdf(Uniform01(), 0.25) == 0.25
     assert cdf(Uniform01(), 2.0) == 1.0
-    e = Empirical(np.array([3.0, 1.0, 2.0, 2.0]))
-    assert cdf(e, 0.9) == 0.0
-    assert cdf(e, 1.0) == 0.25
-    assert cdf(e, 2.0) == 0.75
-    assert cdf(e, 10.0) == 1.0
 
 
 def test_cdf_handles_infinities_and_arrays():
@@ -135,14 +128,6 @@ def test_quantile_cdf_roundtrip(d):
     assert np.all(np.abs(back - ps) < 1e-10)
     qs = quantile(d, back)
     assert np.all(np.abs(qs - xs) <= 1e-10 * np.maximum(np.abs(xs), 1.0))
-
-
-def test_empirical_quantile_is_left_inverse():
-    e = Empirical(np.array([1.0, 2.0, 3.0]))
-    assert quantile(e, 0.2) == 1.0
-    assert quantile(e, 1.0 / 3.0) == 1.0
-    assert quantile(e, 0.34) == 2.0
-    assert quantile(e, 0.999) == 3.0
 
 
 def test_quantile_domain():
@@ -196,8 +181,7 @@ def test_chi2_log_tail_deep(df, x, want_lower, want_upper):
         assert abs(got - want_upper) < 1e-6 * abs(want_upper)
 
 
-@pytest.mark.parametrize("d", [Normal(), StudentT(6.0), ChiSquare(5.0), Uniform01(),
-                               Empirical(np.array([0.0, 1.0, 4.0]))])
+@pytest.mark.parametrize("d", [Normal(), StudentT(6.0), ChiSquare(5.0), Uniform01()])
 def test_log_tail_consistent_with_cdf(d):
     # exp(log_tail) must agree with cdf-derived tails wherever those are >= 1e-280
     for x in (-8.0, -1.0, 0.3, 2.0, 7.5):
@@ -206,12 +190,6 @@ def test_log_tail_consistent_with_cdf(d):
             assert abs(math.exp(log_tail(d, x, "lower")) - p) < 1e-12
         if 1.0 - p >= 1e-280:
             assert abs(math.exp(log_tail(d, x, "upper")) - (1.0 - p)) < 1e-12
-
-
-def test_empirical_empty_tail_is_minus_inf():
-    e = Empirical(np.array([1.0, 2.0]))
-    assert log_tail(e, 0.0, "lower") == -np.inf
-    assert log_tail(e, 2.0, "upper") == -np.inf
 
 
 def test_log_tail_side_validation():
@@ -226,33 +204,41 @@ def _dkw(n, alpha=1e-3):
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
+# numpy samplers for each kind: an oracle independent of cdf
+_SAMPLERS = {
+    Normal: lambda rng, d, n: rng.normal(d.mean, d.sd, size=n),
+    StudentT: lambda rng, d, n: rng.standard_t(d.df, size=n),
+    ChiSquare: lambda rng, d, n: rng.chisquare(d.df, size=n),
+    Uniform01: lambda rng, d, n: rng.random(n),
+}
+
+
 @pytest.mark.parametrize("d", [Normal(1.0, 2.0), StudentT(5.0), ChiSquare(3.0),
-                               Uniform01(), Empirical(np.array([0.0, 0.5, 2.0]))])
+                               Uniform01()])
 def test_draw_matches_cdf_within_dkw(d):
     n = 100_000
-    x = np.sort(draw(RngStream(1729, 5), d, n))
-    if isinstance(d, Empirical):
-        # discrete target: compare the two CDFs at the atoms
-        sup = max(abs(np.searchsorted(x, a, side="right") / n - cdf(d, a))
-                  for a in d.values)
-    else:
-        grid = np.arange(1, n + 1) / n
-        theo = cdf(d, x)
-        sup = max(np.max(np.abs(grid - theo)), np.max(np.abs(grid - 1.0 / n - theo)))
+    x = np.sort(_SAMPLERS[type(d)](RngStream(1729, 5).generator(), d, n))
+    grid = np.arange(1, n + 1) / n
+    theo = cdf(d, x)
+    sup = max(np.max(np.abs(grid - theo)), np.max(np.abs(grid - 1.0 / n - theo)))
     assert sup < _dkw(n)
+
+
+def _normals(stream):
+    return stream.generator().normal(size=16)
 
 
 def test_stream_determinism_and_independence():
     s = RngStream(42, 3)
-    a = draw(s, Normal(), 16)
-    b = draw(RngStream(42, 3), Normal(), 16)
+    a = _normals(s)
+    b = _normals(RngStream(42, 3))
     assert np.array_equal(a, b)
-    c = draw(RngStream(42, 4), Normal(), 16)
+    c = _normals(RngStream(42, 4))
     assert not np.array_equal(a, c)
-    d1 = draw(s.child(0), Normal(), 16)
-    d2 = draw(s.child(1), Normal(), 16)
+    d1 = _normals(s.child(0))
+    d2 = _normals(s.child(1))
     assert not np.array_equal(d1, d2)
-    assert np.array_equal(d1, draw(RngStream(42, 3).child(0), Normal(), 16))
+    assert np.array_equal(d1, _normals(RngStream(42, 3).child(0)))
 
 
 def test_stream_validation():
@@ -272,10 +258,6 @@ def test_parameter_domains():
         StudentT(-1.0)
     with pytest.raises(ParameterDomainError):
         ChiSquare(0.0)
-    with pytest.raises(ParameterDomainError):
-        Empirical(np.array([]))
-    with pytest.raises(ParameterDomainError):
-        Empirical(np.array([1.0, np.nan]))
 
 
 def test_bracket_root_expands_and_respects_edges():

@@ -81,6 +81,12 @@ class TestKsUniform:
         assert stat == pytest.approx(ref.statistic, abs=1e-12)
         assert p == pytest.approx(ref.pvalue, abs=1e-9)
 
+    def test_p_value_is_one_for_a_tiny_statistic(self):
+        # sqrt(n) * D is about 1.1e-3 here, where the Kolmogorov series needs
+        # far more than a thousand terms to converge
+        _, p = ks_uniform((np.arange(200_000) + 0.5) / 200_000)
+        assert p == pytest.approx(1.0, abs=1e-12)
+
     def test_large_null_sample_passes(self):
         rng = np.random.default_rng(8)
         _, p = ks_uniform(rng.random(100000))
