@@ -67,6 +67,8 @@ class ConfidenceDistribution:
     atoms: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
+    # (base, loc, scale), set only by location_scale_cd; copies drop it
+    _base_loc_scale: Optional[tuple] = field(default=None, init=False)
 
     def __repr__(self):  # the payload arrays/callables are noise in logs
         lo, hi = self.support
@@ -99,13 +101,15 @@ def location_scale_cd(base: pk.DistKind, loc: float, scale: float,
                       support=_REAL_LINE, *, density_fn=None, meta=None) -> ConfidenceDistribution:
     """CD of loc + scale * X for a known base distribution (scale > 0).
 
-    The location-scale structure is recorded in ``meta`` so repeated quantile
-    grids over many datasets can share the base quantiles.
+    ``meta`` records loc, scale and base.  Readers that share base quantiles
+    over many CDs take the structure from :func:`_location_scale`, which only
+    this factory sets: a CD built any other way, even with a copy of this
+    ``meta``, has none.
     """
     if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(loc)):
         raise ParameterDomainError("location_scale_cd needs finite loc and positive scale")
     full_meta = {**(meta or {}), "loc": loc, "scale": scale, "base": base}
-    return analytic_cd(
+    cd = analytic_cd(
         lambda x: pk.cdf(base, (np.asarray(x, float) - loc) / scale),
         support,
         quantile_fn=lambda s: loc + scale * pk.quantile(base, s),
@@ -114,6 +118,16 @@ def location_scale_cd(base: pk.DistKind, loc: float, scale: float,
         log_sf_fn=lambda x: pk.log_tail(base, (float(x) - loc) / scale, "upper"),
         meta=full_meta,
     )
+    object.__setattr__(cd, "_base_loc_scale", (base, loc, scale))
+    return cd
+
+
+def _location_scale(cd: ConfidenceDistribution):
+    """(base, loc, scale) of a CD built by :func:`location_scale_cd`, else None.
+
+    Its quantile at s is then exactly ``loc + scale * pk.quantile(base, s)``.
+    """
+    return cd._base_loc_scale
 
 
 def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:
@@ -400,12 +414,18 @@ def _apply_g(g, x):
     return np.array([float(g(v)) for v in xa])
 
 
-def central_interval(cd: ConfidenceDistribution, level: float) -> tuple[float, float]:
-    """Equal-tail interval [H^{-1}(a/2), H^{-1}(1-a/2)] at coverage ``level``."""
+def _interval_probs(level: float) -> tuple[float, float]:
+    """The probabilities (a/2, 1 - a/2) of the equal-tail interval at ``level``."""
     if not 0.0 < level < 1.0:
         raise ParameterDomainError("level must lie strictly in (0, 1)")
     alpha = 1.0 - level
-    return (float(cd_quantile(cd, alpha / 2.0)), float(cd_quantile(cd, 1.0 - alpha / 2.0)))
+    return alpha / 2.0, 1.0 - alpha / 2.0
+
+
+def central_interval(cd: ConfidenceDistribution, level: float) -> tuple[float, float]:
+    """Equal-tail interval [H^{-1}(a/2), H^{-1}(1-a/2)] at coverage ``level``."""
+    lo, hi = cd_quantile(cd, np.array(_interval_probs(level)))
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------

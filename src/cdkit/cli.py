@@ -14,20 +14,15 @@ import sys
 import numpy as np
 
 from .cd_core import (
-    cd_quantile,
     central_interval,
     load_cd_csv,
     save_cd_csv,
 )
 from .compare import (
-    SquaredError,
     bahadur_slopes,
-    default_risk,
-    dominance_mc,
     dominance_to_json,
     dump_slopes,
-    mc_dispersion,
-    risk,
+    paired_compare,
 )
 from .constructors import (
     DataSample,
@@ -184,15 +179,11 @@ def _cmd_compare(args) -> dict:
         gen2 = generator_from_config(json.load(fh))
     theta0 = gen1.theta0 if args.theta0 is None else float(args.theta0)
     eps = _parse_vector(args.eps)
-    report = dominance_mc(gen1, gen2, theta0, eps, args.reps)
+    result = paired_compare(gen1, gen2, theta0, eps, args.reps)
+    report = result.dominance
     dominance_path = f"{args.out_prefix}-dominance.json"
     with open(dominance_path, "w") as fh:
         fh.write(dominance_to_json(report))
-    disp = [mc_dispersion(g, SquaredError, args.reps) for g in (gen1, gen2)]
-    scale_cd = gen1.replicate(0)
-    scale = max(float(cd_quantile(scale_cd, 0.75) - cd_quantile(scale_cd, 0.25)), 1e-6)
-    spec = default_risk(theta0, scale)
-    risks = [risk(g, spec, args.reps) for g in (gen1, gen2)]
     slope_paths = []
     for tag, gen in (("1", gen1), ("2", gen2)):
         cd = gen.replicate(0)
@@ -207,9 +198,9 @@ def _cmd_compare(args) -> dict:
                    "out_prefix": args.out_prefix},
         "verdict": report.verdict,
         "dispersion": {f"gen{i + 1}": {"mean": d.mean, "se": d.se}
-                       for i, d in enumerate(disp)},
+                       for i, d in enumerate(result.dispersion)},
         "risk": {f"gen{i + 1}": {"mean": r.mean, "se": r.se}
-                 for i, r in enumerate(risks)},
+                 for i, r in enumerate(result.risk)},
         "artifacts": [dominance_path, *slope_paths],
     }
 

@@ -6,25 +6,37 @@ expected loss of the CD around a target point (dispersion), integrated risk
 against a weight measure, and log-tail decay slopes.  A paired Monte Carlo
 dominance check compares two generators replicate by replicate, feeding both
 the same dataset so the verdict reflects the construction, not the noise.
+
+Each statistic has one per-CD reader: ``sample_dispersion``, a risk
+functional built once per weight, and the tail-mass stack.
+``mc_dispersion``, ``risk`` and ``dominance_mc`` loop one reader over a
+generator's replicates.  ``paired_compare``, which ``cdkit compare`` runs, is
+one paired pass: it builds each generator's CD once per replicate, on
+generator 1's data, and reads all three statistics off it.  Dispersion and
+risk always describe a generator on its own draws: when generator 2's data
+differ from generator 1's, its own CD is built for them, so the fused pass
+equals the separate ones bit for bit.
 """
 
 import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import probkernel as pk
 from .cd_core import (
     ConfidenceDistribution,
+    _location_scale,
     cd_eval,
     cd_log_lower,
     cd_log_upper,
     cd_quantile,
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
-from .inference import _integrability_check
-from .probkernel import gauss_legendre
+from .inference import _integrability_check, _probe_quantiles
 from .simlab import CdGenerator, map_indexed
 
 _DISPERSION_POINTS = 2048
@@ -120,8 +132,36 @@ def default_risk(theta0: float, scale: float, psi=identity_psi) -> RiskSpec:
 
 def _gauss_nodes(count: int):
     # Legendre nodes mapped to (0,1)
-    x, w = gauss_legendre(count)
+    x, w = pk.gauss_legendre(count)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+@lru_cache(maxsize=1)
+def _dispersion_rule():
+    """Nodes s = 3v^2 - 2v^3 and weights of the dispersion quadrature, and their sum."""
+    v, gw = _gauss_nodes(_DISPERSION_POINTS)
+    s = 3.0 * v * v - 2.0 * v ** 3
+    w = gw * 6.0 * v * (1.0 - v)
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w, np.sum(w)
+
+
+@lru_cache(maxsize=32)
+def _base_quantiles(base: pk.DistKind) -> np.ndarray:
+    # shared by every location-scale CD on this base
+    q = pk.quantile(base, _dispersion_rule()[0])
+    q.setflags(write=False)
+    return q
+
+
+def _dispersion_quantiles(cd: ConfidenceDistribution) -> np.ndarray:
+    parts = _location_scale(cd)
+    if parts is None:
+        return np.asarray(cd_quantile(cd, _dispersion_rule()[0]), dtype=float)
+    base, loc, scale = parts
+    # the same arithmetic as the CD's own quantile_fn, on cached base quantiles
+    return loc + scale * _base_quantiles(base)
 
 
 def _loss_values(loss: LossSpec, x: np.ndarray, theta0: float) -> np.ndarray:
@@ -136,20 +176,19 @@ def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float)
 
     Sample representations sum exactly; analytic and grid ones integrate in
     the quantile domain with 2048 Gauss points under the cubic endpoint map
-    s = 3v^2 - 2v^3, which tames the tail quantile growth.
+    s = 3v^2 - 2v^3, which tames the tail quantile growth.  Location-scale
+    CDs read those quantiles off cached base quantiles, with identical bytes.
     """
     theta0 = float(theta0)
-    q25 = float(cd_quantile(cd, 0.25))
-    q75 = float(cd_quantile(cd, 0.75))
+    probes = _probe_quantiles(cd)
+    q25, q75 = float(probes[1]), float(probes[2])
     loss.spot_check(theta0, max(q75 - q25, 1e-6 * (1.0 + abs(theta0))))
     if cd.kind == "sample":
         return float(np.dot(_loss_values(loss, cd.atoms, theta0), cd.weights))
-    _integrability_check(cd)
-    v, gw = _gauss_nodes(_DISPERSION_POINTS)
-    s = 3.0 * v * v - 2.0 * v ** 3
-    w = gw * 6.0 * v * (1.0 - v)
-    q = np.asarray(cd_quantile(cd, s), dtype=float)
-    return float(np.dot(_loss_values(loss, q, theta0), w) / np.sum(w))
+    _integrability_check(probes)
+    _, w, w_sum = _dispersion_rule()
+    q = _dispersion_quantiles(cd)
+    return float(np.dot(_loss_values(loss, q, theta0), w) / w_sum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +211,14 @@ def _mc_aggregate(values) -> McEstimate:
     )
 
 
-def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
-    """Mean dispersion over seeded replications of a generator."""
+def _check_reps(reps: int) -> None:
     if reps < _MIN_REPS:
         raise ConfigError(f"need at least {_MIN_REPS} replications, got {reps}")
+
+
+def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
+    """Mean dispersion over seeded replications of a generator."""
+    _check_reps(reps)
     vals = map_indexed(lambda i: sample_dispersion(gen.replicate(i), loss, gen.theta0),
                        reps)
     return _mc_aggregate(vals)
@@ -184,36 +227,43 @@ def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
 # ---------------------------------------------------------------------------
 # integrated risk
 
+def _risk_reader(spec: RiskSpec, theta0: float):
+    """The functional cd -> integral of psi(|H(x) - 1[x >= theta0]|) against the weight.
+
+    The weight density is checked and the 256 nodes fixed once, here, so the
+    reader can be applied to many CDs.
+    """
+    lo, hi = spec.window
+    if not hi > lo:
+        def read(cd):
+            h = float(cd_eval(cd, lo))
+            return float(spec.psi(max(h, 1.0 - h)))
+        return read
+    v, gw = _gauss_nodes(_RISK_POINTS)
+    xs = lo + (hi - lo) * v
+    dens = np.asarray(spec.weight_density(xs), dtype=float)
+    if dens.shape != xs.shape:
+        dens = np.array([float(spec.weight_density(x)) for x in xs])
+    if not np.all(np.isfinite(dens)) or np.any(dens < 0.0):
+        raise ParameterDomainError("weight density must be finite and nonnegative")
+    wts = (hi - lo) * gw * dens
+    upper = xs >= theta0
+
+    def read(cd):
+        h = np.asarray(cd_eval(cd, xs), dtype=float)
+        dev = np.where(upper, 1.0 - h, h)
+        vals = np.asarray(spec.psi(dev), dtype=float)
+        if vals.shape != dev.shape:
+            vals = np.array([float(spec.psi(d)) for d in dev])
+        return float(np.dot(wts, vals))
+    return read
+
+
 def risk(gen: CdGenerator, spec: RiskSpec, reps: int) -> McEstimate:
     """MC mean of psi(|H(x) - 1[x >= theta0]|) integrated against the weight."""
-    if reps < _MIN_REPS:
-        raise ConfigError(f"need at least {_MIN_REPS} replications, got {reps}")
-    theta0 = gen.theta0
-    lo, hi = spec.window
-    if hi > lo:
-        v, gw = _gauss_nodes(_RISK_POINTS)
-        xs = lo + (hi - lo) * v
-        dens = np.asarray(spec.weight_density(xs), dtype=float)
-        if dens.shape != xs.shape:
-            dens = np.array([float(spec.weight_density(x)) for x in xs])
-        if not np.all(np.isfinite(dens)) or np.any(dens < 0.0):
-            raise ParameterDomainError("weight density must be finite and nonnegative")
-        wts = (hi - lo) * gw * dens
-        upper = xs >= theta0
-
-        def one(i):
-            h = np.asarray(cd_eval(gen.replicate(i), xs), dtype=float)
-            dev = np.where(upper, 1.0 - h, h)
-            vals = np.asarray(spec.psi(dev), dtype=float)
-            if vals.shape != dev.shape:
-                vals = np.array([float(spec.psi(d)) for d in dev])
-            return float(np.dot(wts, vals))
-    else:
-        def one(i):
-            h = float(cd_eval(gen.replicate(i), lo))
-            return float(spec.psi(max(h, 1.0 - h)))
-
-    return _mc_aggregate(map_indexed(one, reps))
+    _check_reps(reps)
+    read = _risk_reader(spec, gen.theta0)
+    return _mc_aggregate(map_indexed(lambda i: read(gen.replicate(i)), reps))
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +337,30 @@ def _covers(a: EpsCurves, tol: float) -> tuple[bool, bool]:
     return one, two
 
 
-def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
-                 eps_grid, reps: int) -> DominanceReport:
-    """Paired comparison of tail masses H(theta0 - eps) and 1 - H(theta0 + eps).
-
-    Both constructions see the same dataset each replicate.  Generator 1
-    dominates when its tail-mass ECDFs sit above generator 2's on the whole
-    probe grid (within twice the DKW band) for every eps, and not vice versa.
-    """
-    if reps < _MIN_REPS:
-        raise ConfigError(f"need at least {_MIN_REPS} replications, got {reps}")
+def _paired_eps(gen1: CdGenerator, gen2: CdGenerator, eps_grid, reps: int) -> np.ndarray:
+    """Check a paired comparison's config; the eps grid as an array."""
+    _check_reps(reps)
     if gen1.data_shape != gen2.data_shape or gen1.n != gen2.n:
         raise PairingError("generators disagree on dataset shape; cannot pair them")
     eps_arr = np.asarray([float(e) for e in eps_grid], dtype=float)
     if eps_arr.size == 0 or np.any(eps_arr <= 0.0):
         raise ParameterDomainError("eps grid must be nonempty and positive")
-    theta0 = float(theta0)
-    lows = theta0 - eps_arr
-    highs = theta0 + eps_arr
+    return eps_arr
 
-    def one(i):
-        data = gen1.draw_data(i)
-        cd1 = gen1.build_cd(data, i)
-        cd2 = gen2.build_cd(data, i)
-        return np.stack([
-            np.asarray(cd_eval(cd1, lows), dtype=float),
-            np.asarray(cd_eval(cd2, lows), dtype=float),
-            1.0 - np.asarray(cd_eval(cd1, highs), dtype=float),
-            1.0 - np.asarray(cd_eval(cd2, highs), dtype=float),
-        ])
 
-    stats = np.stack(map_indexed(one, reps))  # (reps, 4, n_eps)
+def _tail_stack(cd1, cd2, lows, highs) -> np.ndarray:
+    """(4, n_eps): H1(lows), H2(lows), 1 - H1(highs), 1 - H2(highs)."""
+    return np.stack([
+        np.asarray(cd_eval(cd1, lows), dtype=float),
+        np.asarray(cd_eval(cd2, lows), dtype=float),
+        1.0 - np.asarray(cd_eval(cd1, highs), dtype=float),
+        1.0 - np.asarray(cd_eval(cd2, highs), dtype=float),
+    ])
+
+
+def _dominance_report(theta0: float, eps_arr: np.ndarray, stats: np.ndarray,
+                      reps: int) -> DominanceReport:
+    """The verdict from the (reps, 4, n_eps) tail-mass stacks."""
     probes = np.arange(1, 100) / 100.0
     tol = 2.0 * dkw_epsilon(reps)
     curves = tuple(
@@ -342,6 +385,80 @@ def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
     return DominanceReport(theta0=theta0, reps=reps, tolerance=tol,
                            probe_grid=probes, curves=curves, covers=covers,
                            verdict=verdict)
+
+
+def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
+                 eps_grid, reps: int) -> DominanceReport:
+    """Paired comparison of tail masses H(theta0 - eps) and 1 - H(theta0 + eps).
+
+    Both constructions see the same dataset each replicate.  Generator 1
+    dominates when its tail-mass ECDFs sit above generator 2's on the whole
+    probe grid (within twice the DKW band) for every eps, and not vice versa.
+    """
+    eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
+    theta0 = float(theta0)
+    lows = theta0 - eps_arr
+    highs = theta0 + eps_arr
+
+    def one(i):
+        data = gen1.draw_data(i)
+        return _tail_stack(gen1.build_cd(data, i), gen2.build_cd(data, i), lows, highs)
+
+    return _dominance_report(theta0, eps_arr, np.stack(map_indexed(one, reps)), reps)
+
+
+@dataclass(frozen=True, eq=False)
+class PairedComparison:
+    """Dominance, plus each generator's dispersion and risk, from one pass."""
+
+    dominance: DominanceReport
+    dispersion: tuple  # (McEstimate, McEstimate)
+    risk: tuple        # (McEstimate, McEstimate)
+
+
+def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid,
+                   reps: int) -> PairedComparison:
+    """dominance_mc, mc_dispersion and risk of both generators in one pass.
+
+    Replicate i draws gen1's data once and builds each generator's CD on it
+    once; the tail masses, both dispersions and both risks are read off those
+    two CDs.  Dispersion and risk describe each generator on its own draws, as
+    mc_dispersion and risk do: when gen2.draw_data(i) differs from gen1's
+    (another seed, theta0 or sigma), gen2's own CD is built for those reads.
+    So the result equals the three separate calls bit for bit.
+
+    Dispersion is under squared error; risk weighs uniformly over theta0 +- 3
+    IQR of gen1's replicate-0 CD.  Every config check runs before any
+    replicate is read.
+    """
+    eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
+    theta0 = float(theta0)
+    q25, q75 = cd_quantile(gen1.replicate(0), np.array([0.25, 0.75]))
+    spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
+    read_risk1 = _risk_reader(spec, gen1.theta0)
+    read_risk2 = _risk_reader(spec, gen2.theta0)
+    lows = theta0 - eps_arr
+    highs = theta0 + eps_arr
+
+    def one(i):
+        data = gen1.draw_data(i)
+        cd1 = gen1.build_cd(data, i)
+        cd2 = gen2.build_cd(data, i)
+        tails = _tail_stack(cd1, cd2, lows, highs)
+        own = gen2.draw_data(i)
+        if not np.array_equal(own, data):
+            cd2 = gen2.build_cd(own, i)
+        return (tails,
+                sample_dispersion(cd1, SquaredError, gen1.theta0),
+                sample_dispersion(cd2, SquaredError, gen2.theta0),
+                read_risk1(cd1), read_risk2(cd2))
+
+    rows = map_indexed(one, reps)
+    return PairedComparison(
+        dominance=_dominance_report(theta0, eps_arr, np.stack([r[0] for r in rows]), reps),
+        dispersion=tuple(_mc_aggregate([r[k] for r in rows]) for k in (1, 2)),
+        risk=tuple(_mc_aggregate([r[k] for r in rows]) for k in (3, 4)),
+    )
 
 
 def dominance_to_json(report: DominanceReport) -> str:

@@ -108,14 +108,20 @@ def cd_median(cd: ConfidenceDistribution) -> float:
     return float(cd_quantile(cd, 0.5))
 
 
-def _integrability_check(cd):
+_TAIL_EPS = 1e-6
+# the probe quantiles every moment-style functional reads first
+_PROBES = np.array([_TAIL_EPS, 0.25, 0.75, 1.0 - _TAIL_EPS])
+
+
+def _probe_quantiles(cd) -> np.ndarray:
+    """Quantiles at 1e-6, 0.25, 0.75 and 1 - 1e-6, in one vector read."""
+    return np.asarray(cd_quantile(cd, _PROBES), dtype=float)
+
+
+def _integrability_check(probes) -> None:
     # reject CDs whose extreme quantiles still carry non-negligible mass
-    eps = 1e-6
-    q_lo = float(cd_quantile(cd, eps))
-    q_hi = float(cd_quantile(cd, 1.0 - eps))
-    q25 = float(cd_quantile(cd, 0.25))
-    q75 = float(cd_quantile(cd, 0.75))
-    tail = (abs(q_lo) + abs(q_hi)) * eps
+    q_lo, q25, q75, q_hi = (float(q) for q in probes)
+    tail = (abs(q_lo) + abs(q_hi)) * _TAIL_EPS
     scale = max(abs(q25), abs(q75), q75 - q25, 1e-9)
     if not (math.isfinite(q_lo) and math.isfinite(q_hi)) or tail > 0.01 * scale:
         raise NonintegrableCdError(
@@ -139,7 +145,7 @@ def cd_mean(cd: ConfidenceDistribution) -> float:
         if total <= 0.0:
             raise NonintegrableCdError("grid CD carries no mass")
         return float(np.dot(dv, mids) / total)
-    _integrability_check(cd)
+    _integrability_check(_probe_quantiles(cd))
     v = (np.arange(_MEAN_POINTS) + 0.5) / _MEAN_POINTS
     s = 3.0 * v * v - 2.0 * v ** 3
     w = 6.0 * v * (1.0 - v)

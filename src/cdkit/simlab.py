@@ -21,6 +21,7 @@ from scipy.special import kolmogorov
 
 from . import probkernel as pk
 from .bootstrap import (
+    _MIN_RESAMPLES,
     ResamplePlan,
     bootstrap_t_cd,
     hall_bootstrap_cd,
@@ -33,8 +34,8 @@ from .bootstrap import (
 from .cd_core import (
     ConfidenceDistribution,
     cd_eval,
+    _interval_probs,
     cd_quantile,
-    central_interval,
     location_scale_cd,
     sample_cd,
 )
@@ -47,7 +48,7 @@ from .constructors import (
     normal_variance_cd,
 )
 from .errors import CdkitError, ConfigError, InsufficientDataError, ParameterDomainError
-from .likelihood import likelihood_acd
+from .likelihood import _MIN_GRID, likelihood_acd
 
 __all__ = [
     "CdGenerator",
@@ -79,6 +80,8 @@ _SUPPORTED = {
     "bivariate-normal-correlation": ("pivot", "point-mass"),
     "exponential-rate": ("pivot", "likelihood", "point-mass"),
 }
+
+_PARAM_KEYS = ("sigma", "mean", "B", "grid_size")
 
 _BOOTSTRAP = {"raw-bootstrap", "reflected-bootstrap", "bootstrap-t", "hall-bootstrap"}
 
@@ -132,6 +135,29 @@ class CdGenerator:
                 raise ConfigError("correlation theta0 must lie in (-1, 1)")
             if self.n < 4:
                 raise ConfigError("correlation model needs n >= 4")
+        self._check_params()
+
+    def _check_params(self):
+        # bad params fail here, as config errors, not inside every replicate
+        unknown = [key for key in self.params if key not in _PARAM_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown params key {unknown[0]!r}; known keys are "
+                              f"{', '.join(_PARAM_KEYS)}")
+
+        def value(key, cast, default):
+            try:
+                return cast(self.params.get(key, default))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"params.{key} must be a number") from exc
+
+        sigma = value("sigma", float, 1.0)
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise ConfigError(f"params.sigma must be positive and finite, got {sigma!r}")
+        value("mean", float, 0.0)
+        for key, default, floor in (("B", 1000, _MIN_RESAMPLES), ("grid_size", 256, _MIN_GRID)):
+            size = value(key, int, default)
+            if size < floor:
+                raise ConfigError(f"params.{key} must be at least {floor}, got {size}")
 
     def _param(self, key, default):
         return float(self.params.get(key, default))
@@ -256,9 +282,12 @@ def _replicate_summary(gen: CdGenerator, index: int, levels):
     try:
         cd = gen.replicate(index)
         u = float(cd_eval(cd, gen.theta0))
-        hits = tuple(lo <= gen.theta0 <= hi
-                     for lo, hi in (central_interval(cd, lv) for lv in levels))
-        below = bool(cd_quantile(cd, 0.5) <= gen.theta0)
+        # one quantile read: every interval's lower ends, then upper ends, then 0.5
+        probs = [_interval_probs(lv) for lv in levels]
+        q = cd_quantile(cd, np.array([p[0] for p in probs] + [p[1] for p in probs] + [0.5]))
+        k = len(levels)
+        hits = tuple(bool(q[j] <= gen.theta0 <= q[k + j]) for j in range(k))
+        below = bool(q[-1] <= gen.theta0)
         return u, hits, below
     except CdkitError:
         return None

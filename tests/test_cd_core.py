@@ -7,6 +7,7 @@ import pytest
 
 from cdkit.cd_core import (
     CdRandomVariable,
+    _location_scale,
     analytic_cd,
     cd_density,
     cd_eval,
@@ -225,6 +226,17 @@ def test_transform_without_inverse_root_finds():
     q = cd_quantile(_normal_cd(), s)
     assert abs(cd_quantile(out, s) - (q ** 3 + q)) < 1e-8
     assert abs(cd_eval(out, q ** 3 + q) - s) < 1e-8
+
+
+def test_only_location_scale_cd_records_its_structure():
+    # quantile readers share base quantiles only for CDs this factory built
+    cd = location_scale_cd(Normal(), 0.2, 0.5, meta={"source": "test"})
+    assert _location_scale(cd) == (Normal(), 0.2, 0.5)
+    out = transform_cd(cd, math.exp, "increasing", g_inverse=math.log)
+    assert _location_scale(out) is None
+    copied = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
+    assert _location_scale(copied) is None
+    assert _location_scale(analytic_cd(cd.cdf_fn, meta={"base": Normal()})) is None
 
 
 def test_transform_rejects_nonmonotone():

@@ -153,13 +153,23 @@ class TestCalibrate:
         assert "config error:" in err
 
     def test_numeric_failure_exits_one(self, capsys, tmp_path):
-        # every replicate throws (bootstrap floor), so calibration cannot run
+        # with n=2 about half the resamples repeat one point and have se = 0,
+        # so every bootstrap-t replicate keeps fewer than 100 rows
+        cfg = self._config(tmp_path, model="normal-mean-unknown-sigma",
+                           constructor="bootstrap-t", n=2, reps=100,
+                           params={"B": 100})
+        code, _, err = _run(capsys, ["calibrate", "--config", cfg])
+        assert code == 1
+        assert err.startswith("InsufficientDataError: only 0 usable replicates of 100")
+
+    def test_too_few_resamples_is_config_error(self, capsys, tmp_path):
         cfg = self._config(tmp_path, model="normal-mean-unknown-sigma",
                            constructor="bootstrap-t", reps=100,
                            params={"B": 50})
-        code, _, err = _run(capsys, ["calibrate", "--config", cfg])
-        assert code == 1
-        assert err.startswith("InsufficientDataError")
+        code, stdout, err = _run(capsys, ["calibrate", "--config", cfg])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("config error: params.B must be at least 100")
 
 
 class TestCompare:
@@ -186,6 +196,28 @@ class TestCompare:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "eps", "left_slope", "right_slope"]
         assert len(rows) == 2
+
+    def test_thread_count_never_changes_a_byte(self, capsys, tmp_path, monkeypatch):
+        c1 = tmp_path / "g1.json"
+        c2 = tmp_path / "g2.json"
+        c1.write_text(json.dumps({"model": "exponential-rate", "constructor": "pivot",
+                                  "n": 20, "theta0": 1.5, "seed": 8}))
+        c2.write_text(json.dumps({"model": "exponential-rate", "constructor": "likelihood",
+                                  "n": 20, "theta0": 1.5, "seed": 8}))
+        prefix = str(tmp_path / "cmp")
+        argv = ["compare", "--config1", str(c1), "--config2", str(c2),
+                "--eps", "0.1,0.5", "--reps", "100", "--out-prefix", prefix]
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CDKIT_THREADS", threads)
+            code, stdout, _ = _run(capsys, argv)
+            assert code == 0
+            files = []
+            for path in json.loads(stdout)["artifacts"]:
+                with open(path, "rb") as fh:
+                    files.append(fh.read())
+            runs.append((stdout, files))
+        assert runs[0] == runs[1]
 
     def test_shape_mismatch_is_config_error(self, capsys, tmp_path):
         c1 = tmp_path / "g1.json"

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import cdkit.probkernel as pk
-from cdkit.cd_core import cd_quantile, location_scale_cd, materialize, sample_cd
+from cdkit.cd_core import (
+    _location_scale,
+    analytic_cd,
+    cd_quantile,
+    location_scale_cd,
+    materialize,
+    sample_cd,
+)
 from cdkit.compare import (
     Absolute,
     LossSpec,
@@ -23,6 +30,7 @@ from cdkit.compare import (
     gaussian_risk,
     identity_psi,
     mc_dispersion,
+    paired_compare,
     point_risk,
     risk,
     sample_dispersion,
@@ -114,6 +122,19 @@ class TestSampleDispersion:
         cd = location_scale_cd(pk.StudentT(1), 0.0, 1.0)
         with pytest.raises(NonintegrableCdError):
             sample_dispersion(cd, SquaredError, 0.0)
+
+
+class TestDispersionFastPath:
+    @pytest.mark.parametrize("base", [pk.Normal(), pk.StudentT(9), pk.StudentT(3.5)])
+    @pytest.mark.parametrize("loss", [SquaredError, Absolute])
+    def test_location_scale_equals_generic_quadrature(self, base, loss):
+        cd = location_scale_cd(base, 0.37, 0.81)
+        # the same CD, meta included, without the factory's structure
+        generic = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
+        assert _location_scale(cd) == (base, 0.37, 0.81)
+        assert _location_scale(generic) is None
+        # cached base quantiles, then loc + scale * q: the bytes of quantile_fn
+        assert sample_dispersion(cd, loss, 0.1) == sample_dispersion(generic, loss, 0.1)
 
 
 class TestMcDispersion:
@@ -304,3 +325,73 @@ class TestDominance:
             fa = np.searchsorted(np.sort(a), probes, side="right") / reps
             fb = np.searchsorted(np.sort(b), probes, side="right") / reps
             assert float(np.min(fa - fb)) >= -tol
+
+
+class TestPairedCompare:
+    EPS = (0.1, 0.5)
+    REPS = 120
+
+    CASES = {
+        # same model draws, seed, n and theta0: both CDs come from one dataset
+        "shared draws": (
+            CdGenerator("normal-mean-known-sigma", "pivot", 10, THETA0, 424242),
+            CdGenerator("normal-mean-unknown-sigma", "pivot", 10, THETA0, 424242)),
+        # another seed: generator 2's dispersion and risk use its own draws
+        "own draws": (
+            CdGenerator("normal-mean-known-sigma", "pivot", 10, THETA0, 424242),
+            CdGenerator("normal-mean-unknown-sigma", "pivot", 10, THETA0, 99)),
+        # resampling draws from a per-index stream of generator 2's seed
+        "bootstrap": (
+            CdGenerator("normal-mean-unknown-sigma", "pivot", 20, THETA0, 31),
+            CdGenerator("normal-mean-unknown-sigma", "bootstrap-t", 20, THETA0, 31,
+                        {"B": 100})),
+    }
+
+    @staticmethod
+    def _same(a, b):
+        return (a.mean == b.mean and a.se == b.se and a.reps == b.reps
+                and np.array_equal(a.values, b.values))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_separate_passes(self, case):
+        gen1, gen2 = self.CASES[case]
+        # the stock weight: uniform over theta0 +- 3 IQR of gen1's replicate 0
+        cd0 = gen1.replicate(0)
+        spec = default_risk(THETA0, float(cd_quantile(cd0, 0.75) - cd_quantile(cd0, 0.25)))
+        fused = paired_compare(gen1, gen2, THETA0, self.EPS, self.REPS)
+        report = dominance_mc(gen1, gen2, THETA0, self.EPS, self.REPS)
+        assert dominance_to_json(fused.dominance) == dominance_to_json(report)
+        for got, gen in zip(fused.dispersion, (gen1, gen2)):
+            assert self._same(got, mc_dispersion(gen, SquaredError, self.REPS))
+        for got, gen in zip(fused.risk, (gen1, gen2)):
+            assert self._same(got, risk(gen, spec, self.REPS))
+
+    @pytest.mark.parametrize("case, builds", [("shared draws", 2), ("own draws", 3)])
+    def test_builds_each_cd_once_per_replicate(self, monkeypatch, case, builds):
+        monkeypatch.setenv("CDKIT_THREADS", "1")
+        original = CdGenerator.build_cd
+        calls = []
+
+        def counting(gen, data, index):
+            calls.append(index)
+            return original(gen, data, index)
+
+        monkeypatch.setattr(CdGenerator, "build_cd", counting)
+        gen1, gen2 = self.CASES[case]
+        paired_compare(gen1, gen2, THETA0, self.EPS, 100)
+        # plus one replicate-0 read for the default risk weight
+        assert len(calls) == builds * 100 + 1
+
+    def test_config_checks_come_before_any_replicate(self, monkeypatch):
+        def refuse(gen, data, index):
+            raise AssertionError("a replicate was built")
+
+        monkeypatch.setattr(CdGenerator, "build_cd", refuse)
+        gen1, gen2 = self.CASES["shared draws"]
+        short = CdGenerator("normal-mean-known-sigma", "pivot", 11, THETA0, 1)
+        with pytest.raises(ConfigError):
+            paired_compare(gen1, gen2, THETA0, self.EPS, 99)
+        with pytest.raises(PairingError):
+            paired_compare(gen1, short, THETA0, self.EPS, 100)
+        with pytest.raises(ParameterDomainError):
+            paired_compare(gen1, gen2, THETA0, (0.1, 0.0), 100)

@@ -41,6 +41,27 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             CdGenerator("bivariate-normal-correlation", "pivot", 20, 1.0, 1)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"B": 50}, "params.B must be at least 100, got 50"),
+        ({"grid_size": 32}, "params.grid_size must be at least 64, got 32"),
+        ({"sigma": 0.0}, "params.sigma must be positive and finite"),
+        ({"sigma": -2.0}, "params.sigma must be positive and finite"),
+        ({"sigma": math.inf}, "params.sigma must be positive and finite"),
+        ({"sigma": math.nan}, "params.sigma must be positive and finite"),
+        ({"sigma": "wide"}, "params.sigma must be a number"),
+        ({"B": None}, "params.B must be a number"),
+        ({"Bee": 200}, "unknown params key 'Bee'"),
+    ])
+    def test_bad_params_are_config_errors_naming_the_key(self, params, message):
+        with pytest.raises(ConfigError) as info:
+            CdGenerator("normal-mean-known-sigma", "pivot", 20, 0.0, 1, params)
+        assert str(info.value).startswith(message)
+
+    def test_known_params_at_their_floors_pass(self):
+        CdGenerator("normal-mean-known-sigma", "likelihood", 20, 0.0, 1,
+                    {"sigma": 0.5, "B": 100, "grid_size": 64})
+        CdGenerator("normal-variance", "pivot", 20, 1.0, 1, {"mean": -3.0})
+
     def test_config_round_trip(self):
         gen = CdGenerator("normal-mean-known-sigma", "pivot", 25, 0.3, 99,
                           {"sigma": 2.0})
