@@ -67,8 +67,8 @@ class ConfidenceDistribution:
     atoms: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-    # (base, loc, scale), set only by location_scale_cd; copies drop it
-    _base_loc_scale: Optional[tuple] = field(default=None, init=False)
+    # (base, to_cd), set only by _base_mapped_cd; copies drop it
+    _base_map: Optional[tuple] = field(default=None, init=False)
 
     def __repr__(self):  # the payload arrays/callables are noise in logs
         lo, hi = self.support
@@ -97,37 +97,47 @@ def analytic_cd(cdf_fn, support=_REAL_LINE, *, quantile_fn=None, density_fn=None
     )
 
 
+def _base_mapped_cd(base: pk.DistKind, to_cd, cdf_fn, support,
+                    **companions) -> ConfidenceDistribution:
+    """Analytic CD whose quantile at s is exactly ``to_cd(pk.quantile(base, s))``.
+
+    ``to_cd`` is an increasing map from the base law's scale to the
+    parameter's.  The pair is recorded for :func:`_base_map_of`, so readers
+    that need one quantile grid for many CDs on the same base compute the
+    base quantiles once.  Only this function sets the record: a CD built any
+    other way, even from this one's callables and ``meta``, has none.
+    """
+    cd = analytic_cd(cdf_fn, support, quantile_fn=lambda s: to_cd(pk.quantile(base, s)),
+                     **companions)
+    object.__setattr__(cd, "_base_map", (base, to_cd))
+    return cd
+
+
+def _base_map_of(cd: ConfidenceDistribution):
+    """(base, to_cd) of a CD built by :func:`_base_mapped_cd`, else None."""
+    return cd._base_map
+
+
 def location_scale_cd(base: pk.DistKind, loc: float, scale: float,
                       support=_REAL_LINE, *, density_fn=None, meta=None) -> ConfidenceDistribution:
     """CD of loc + scale * X for a known base distribution (scale > 0).
 
-    ``meta`` records loc, scale and base.  Readers that share base quantiles
-    over many CDs take the structure from :func:`_location_scale`, which only
-    this factory sets: a CD built any other way, even with a copy of this
-    ``meta``, has none.
+    ``meta`` records loc, scale and base; its quantile is mapped off the base
+    law's (see :func:`_base_mapped_cd`).
     """
     if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(loc)):
         raise ParameterDomainError("location_scale_cd needs finite loc and positive scale")
     full_meta = {**(meta or {}), "loc": loc, "scale": scale, "base": base}
-    cd = analytic_cd(
+    return _base_mapped_cd(
+        base,
+        lambda q: loc + scale * q,
         lambda x: pk.cdf(base, (np.asarray(x, float) - loc) / scale),
         support,
-        quantile_fn=lambda s: loc + scale * pk.quantile(base, s),
         density_fn=density_fn,
         log_cdf_fn=lambda x: pk.log_tail(base, (float(x) - loc) / scale, "lower"),
         log_sf_fn=lambda x: pk.log_tail(base, (float(x) - loc) / scale, "upper"),
         meta=full_meta,
     )
-    object.__setattr__(cd, "_base_loc_scale", (base, loc, scale))
-    return cd
-
-
-def _location_scale(cd: ConfidenceDistribution):
-    """(base, loc, scale) of a CD built by :func:`location_scale_cd`, else None.
-
-    Its quantile at s is then exactly ``loc + scale * pk.quantile(base, s)``.
-    """
-    return cd._base_loc_scale
 
 
 def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:

@@ -185,8 +185,7 @@ def _cmd_compare(args) -> dict:
     with open(dominance_path, "w") as fh:
         fh.write(dominance_to_json(report))
     slope_paths = []
-    for tag, gen in (("1", gen1), ("2", gen2)):
-        cd = gen.replicate(0)
+    for tag, gen, cd in zip("12", (gen1, gen2), result.first_cds):
         rows = [(gen.n, e, *bahadur_slopes(cd, theta0, e, gen.n)) for e in eps]
         path = f"{args.out_prefix}-slopes-{tag}.csv"
         dump_slopes(path, rows)

@@ -16,6 +16,12 @@ generator 1's data, and reads all three statistics off it.  Dispersion and
 risk always describe a generator on its own draws: when generator 2's data
 differ from generator 1's, its own CD is built for them, so the fused pass
 equals the separate ones bit for bit.
+
+The dispersion quadrature needs 2048 quantiles per CD.  CDs built as a map
+of one base law's quantile (location-scale CDs over Normal or Student-t, and
+the exponential-rate pivot CD over chi-square) read them off base quantiles
+cached once per base; normal-variance, Fisher-z, likelihood and bootstrap
+CDs evaluate their own.
 """
 
 import csv
@@ -29,7 +35,7 @@ import numpy as np
 from . import probkernel as pk
 from .cd_core import (
     ConfidenceDistribution,
-    _location_scale,
+    _base_map_of,
     cd_eval,
     cd_log_lower,
     cd_log_upper,
@@ -149,19 +155,19 @@ def _dispersion_rule():
 
 @lru_cache(maxsize=32)
 def _base_quantiles(base: pk.DistKind) -> np.ndarray:
-    # shared by every location-scale CD on this base
+    # shared by every base-mapped CD on this base
     q = pk.quantile(base, _dispersion_rule()[0])
     q.setflags(write=False)
     return q
 
 
 def _dispersion_quantiles(cd: ConfidenceDistribution) -> np.ndarray:
-    parts = _location_scale(cd)
+    parts = _base_map_of(cd)
     if parts is None:
         return np.asarray(cd_quantile(cd, _dispersion_rule()[0]), dtype=float)
-    base, loc, scale = parts
-    # the same arithmetic as the CD's own quantile_fn, on cached base quantiles
-    return loc + scale * _base_quantiles(base)
+    base, to_cd = parts
+    # the CD's own quantile_fn, on cached base quantiles
+    return to_cd(_base_quantiles(base))
 
 
 def _loss_values(loss: LossSpec, x: np.ndarray, theta0: float) -> np.ndarray:
@@ -176,8 +182,10 @@ def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float)
 
     Sample representations sum exactly; analytic and grid ones integrate in
     the quantile domain with 2048 Gauss points under the cubic endpoint map
-    s = 3v^2 - 2v^3, which tames the tail quantile growth.  Location-scale
-    CDs read those quantiles off cached base quantiles, with identical bytes.
+    s = 3v^2 - 2v^3, which tames the tail quantile growth.  CDs whose
+    quantile is a map of one base law's (location-scale CDs and the
+    exponential-rate pivot CD) apply that map to base quantiles computed once
+    per base, with identical bytes; every other CD evaluates its own.
     """
     theta0 = float(theta0)
     probes = _probe_quantiles(cd)
@@ -409,11 +417,16 @@ def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
 
 @dataclass(frozen=True, eq=False)
 class PairedComparison:
-    """Dominance, plus each generator's dispersion and risk, from one pass."""
+    """Dominance, plus each generator's dispersion and risk, from one pass.
+
+    ``first_cds`` holds each generator's replicate-0 CD on its own draws, the
+    CDs ``gen.replicate(0)`` returns.
+    """
 
     dominance: DominanceReport
     dispersion: tuple  # (McEstimate, McEstimate)
     risk: tuple        # (McEstimate, McEstimate)
+    first_cds: tuple   # (ConfidenceDistribution, ConfidenceDistribution)
 
 
 def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid,
@@ -428,36 +441,41 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
     So the result equals the three separate calls bit for bit.
 
     Dispersion is under squared error; risk weighs uniformly over theta0 +- 3
-    IQR of gen1's replicate-0 CD.  Every config check runs before any
-    replicate is read.
+    IQR of gen1's replicate-0 CD, so replicate 0 is built first and read like
+    the others.  Every config check runs before any replicate is built.
     """
     eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
     theta0 = float(theta0)
-    q25, q75 = cd_quantile(gen1.replicate(0), np.array([0.25, 0.75]))
-    spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
-    read_risk1 = _risk_reader(spec, gen1.theta0)
-    read_risk2 = _risk_reader(spec, gen2.theta0)
     lows = theta0 - eps_arr
     highs = theta0 + eps_arr
 
-    def one(i):
+    def build(i):
+        """(gen1's CD, gen2's CD on gen1's data, gen2's CD on its own data)."""
         data = gen1.draw_data(i)
         cd1 = gen1.build_cd(data, i)
         cd2 = gen2.build_cd(data, i)
-        tails = _tail_stack(cd1, cd2, lows, highs)
         own = gen2.draw_data(i)
-        if not np.array_equal(own, data):
-            cd2 = gen2.build_cd(own, i)
-        return (tails,
-                sample_dispersion(cd1, SquaredError, gen1.theta0),
-                sample_dispersion(cd2, SquaredError, gen2.theta0),
-                read_risk1(cd1), read_risk2(cd2))
+        return cd1, cd2, (cd2 if np.array_equal(own, data) else gen2.build_cd(own, i))
 
-    rows = map_indexed(one, reps)
+    first = build(0)
+    q25, q75 = cd_quantile(first[0], np.array([0.25, 0.75]))
+    spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
+    read_risk1 = _risk_reader(spec, gen1.theta0)
+    read_risk2 = _risk_reader(spec, gen2.theta0)
+
+    def read(cds):
+        cd1, cd2, own2 = cds
+        return (_tail_stack(cd1, cd2, lows, highs),
+                sample_dispersion(cd1, SquaredError, gen1.theta0),
+                sample_dispersion(own2, SquaredError, gen2.theta0),
+                read_risk1(cd1), read_risk2(own2))
+
+    rows = [read(first)] + map_indexed(lambda i: read(build(i + 1)), reps - 1)
     return PairedComparison(
         dominance=_dominance_report(theta0, eps_arr, np.stack([r[0] for r in rows]), reps),
         dispersion=tuple(_mc_aggregate([r[k] for r in rows]) for k in (1, 2)),
         risk=tuple(_mc_aggregate([r[k] for r in rows]) for k in (3, 4)),
+        first_cds=(first[0], first[2]),
     )
 
 

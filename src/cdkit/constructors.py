@@ -17,7 +17,13 @@ import numpy as np
 from scipy import special as _sp
 
 from . import probkernel as pk
-from .cd_core import ConfidenceDistribution, analytic_cd, cd_quantile, location_scale_cd
+from .cd_core import (
+    ConfidenceDistribution,
+    _base_mapped_cd,
+    analytic_cd,
+    cd_quantile,
+    location_scale_cd,
+)
 from .errors import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -288,10 +294,11 @@ def exponential_rate_cd(data: DataSample) -> ConfidenceDistribution:
     total = float(np.sum(data.values))
     df = 2.0 * data.n
     chi2 = pk.ChiSquare(df)
-    return analytic_cd(
+    return _base_mapped_cd(
+        chi2,
+        lambda q: q / (2.0 * total),
         lambda x: pk.cdf(chi2, 2.0 * total * np.maximum(np.asarray(x, float), 0.0)),
         (0.0, math.inf),
-        quantile_fn=lambda s: pk.quantile(chi2, np.asarray(s, dtype=float)) / (2.0 * total),
         density_fn=lambda x: _chi2_pdf(df, 2.0 * total * np.asarray(x, float)) * 2.0 * total,
         log_cdf_fn=lambda x: pk.log_tail(chi2, 2.0 * total * float(x), "lower"),
         log_sf_fn=lambda x: pk.log_tail(chi2, 2.0 * total * float(x), "upper"),

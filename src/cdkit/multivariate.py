@@ -230,23 +230,14 @@ def centrality_fn(spec: DepthSpec, cloud) -> CentralityFn:
         depth_of = lambda pt: float(_tukey_1d(srt, pt[0]))
     elif k == 2:
         u = _direction_matrix(spec.directions)
-        proj = arr @ u.T
-        col_sorted = np.sort(proj, axis=0)
+        proj = np.ascontiguousarray((arr @ u.T).T)  # one contiguous row per direction
         m = arr.shape[0]
-        fractions = np.empty_like(proj)
-        for j in range(spec.directions):
-            fractions[:, j] = m - np.searchsorted(col_sorted[:, j], proj[:, j],
-                                                  side="left")
-        depths = np.min(fractions, axis=1) / m
-
-        def depth_of(pt, _u=u, _cols=col_sorted, _m=m):
-            px = _u @ pt
-            best = _m
-            for j in range(_u.shape[0]):
-                count = _m - np.searchsorted(_cols[:, j], px[j], side="left")
-                if count < best:
-                    best = count
-            return best / _m
+        counts = np.empty(proj.shape, dtype=np.intp)
+        for j, row_sorted in enumerate(np.sort(proj, axis=1)):
+            # how many points project >= each point
+            counts[j] = m - np.searchsorted(row_sorted, proj[j], side="left")
+        depths = np.min(counts, axis=0) / m
+        depth_of = lambda pt: int(np.sum(proj >= (u @ pt)[:, None], axis=1).min()) / m
     else:
         raise ParameterDomainError("tukey centrality is implemented for k <= 2 only")
     return CentralityFn(spec=spec, cloud=arr, depth_table=np.sort(depths),

@@ -1,5 +1,6 @@
 """Core CD behavior: shapes, inverses, transforms, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from cdkit.cd_core import (
     CdRandomVariable,
-    _location_scale,
+    _base_map_of,
     analytic_cd,
     cd_density,
     cd_eval,
@@ -229,14 +230,16 @@ def test_transform_without_inverse_root_finds():
 
 
 def test_only_location_scale_cd_records_its_structure():
-    # quantile readers share base quantiles only for CDs this factory built
+    # quantile readers share base quantiles only for CDs a base-mapped factory built
     cd = location_scale_cd(Normal(), 0.2, 0.5, meta={"source": "test"})
-    assert _location_scale(cd) == (Normal(), 0.2, 0.5)
+    base, to_cd = _base_map_of(cd)
+    assert base == Normal() and to_cd(1.0) == 0.2 + 0.5 * 1.0
     out = transform_cd(cd, math.exp, "increasing", g_inverse=math.log)
-    assert _location_scale(out) is None
+    assert _base_map_of(out) is None
     copied = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
-    assert _location_scale(copied) is None
-    assert _location_scale(analytic_cd(cd.cdf_fn, meta={"base": Normal()})) is None
+    assert _base_map_of(copied) is None
+    assert _base_map_of(dataclasses.replace(cd, meta={})) is None
+    assert _base_map_of(analytic_cd(cd.cdf_fn, meta={"base": Normal()})) is None
 
 
 def test_transform_rejects_nonmonotone():

@@ -11,6 +11,7 @@ import pytest
 from cdkit.cd_core import load_cd_csv
 from cdkit.cli import run
 from cdkit.multivariate import DepthSpec, MultiCD, depth, save_cloud_csv
+from cdkit.simlab import CdGenerator
 
 
 @pytest.fixture()
@@ -218,6 +219,29 @@ class TestCompare:
                     files.append(fh.read())
             runs.append((stdout, files))
         assert runs[0] == runs[1]
+
+    def test_shared_draws_build_each_cd_once(self, capsys, tmp_path, monkeypatch):
+        # slopes and the risk weight reuse replicate 0's CDs: no extra builds
+        original = CdGenerator.build_cd
+        calls = []
+
+        def counting(gen, data, index):
+            calls.append((gen.constructor, index))
+            return original(gen, data, index)
+
+        monkeypatch.setattr(CdGenerator, "build_cd", counting)
+        c1 = tmp_path / "g1.json"
+        c2 = tmp_path / "g2.json"
+        c1.write_text(json.dumps({"model": "exponential-rate", "constructor": "pivot",
+                                  "n": 20, "theta0": 1.5, "seed": 8}))
+        c2.write_text(json.dumps({"model": "exponential-rate", "constructor": "likelihood",
+                                  "n": 20, "theta0": 1.5, "seed": 8}))
+        code, _, _ = _run(capsys, [
+            "compare", "--config1", str(c1), "--config2", str(c2),
+            "--eps", "0.1,0.5", "--reps", "100", "--out-prefix", str(tmp_path / "cmp")])
+        assert code == 0
+        assert sorted(calls) == sorted((c, i) for c in ("pivot", "likelihood")
+                                       for i in range(100))
 
     def test_shape_mismatch_is_config_error(self, capsys, tmp_path):
         c1 = tmp_path / "g1.json"

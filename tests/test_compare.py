@@ -9,7 +9,7 @@ import pytest
 
 import cdkit.probkernel as pk
 from cdkit.cd_core import (
-    _location_scale,
+    _base_map_of,
     analytic_cd,
     cd_quantile,
     location_scale_cd,
@@ -37,6 +37,7 @@ from cdkit.compare import (
     square_psi,
     uniform_risk,
 )
+from cdkit.constructors import DataSample, exponential_rate_cd
 from cdkit.errors import (
     ConfigError,
     NonintegrableCdError,
@@ -124,6 +125,10 @@ class TestSampleDispersion:
             sample_dispersion(cd, SquaredError, 0.0)
 
 
+def _exponential_cd(n, seed=17):
+    return exponential_rate_cd(DataSample(np.random.default_rng(seed).exponential(0.5, n)))
+
+
 class TestDispersionFastPath:
     @pytest.mark.parametrize("base", [pk.Normal(), pk.StudentT(9), pk.StudentT(3.5)])
     @pytest.mark.parametrize("loss", [SquaredError, Absolute])
@@ -131,10 +136,34 @@ class TestDispersionFastPath:
         cd = location_scale_cd(base, 0.37, 0.81)
         # the same CD, meta included, without the factory's structure
         generic = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
-        assert _location_scale(cd) == (base, 0.37, 0.81)
-        assert _location_scale(generic) is None
+        assert _base_map_of(cd)[0] == base
+        assert _base_map_of(generic) is None
         # cached base quantiles, then loc + scale * q: the bytes of quantile_fn
         assert sample_dispersion(cd, loss, 0.1) == sample_dispersion(generic, loss, 0.1)
+
+    @pytest.mark.parametrize("n", [2, 30, 200])
+    @pytest.mark.parametrize("loss", [SquaredError, Absolute])
+    def test_exponential_rate_equals_generic_quadrature(self, n, loss):
+        cd = _exponential_cd(n)
+        generic = analytic_cd(cd.cdf_fn, cd.support, quantile_fn=cd.quantile_fn,
+                              meta=cd.meta)
+        assert _base_map_of(cd)[0] == pk.ChiSquare(2.0 * n)
+        assert _base_map_of(generic) is None
+        # cached chi-square quantiles, then q / (2 sum x): the bytes of quantile_fn
+        assert sample_dispersion(cd, loss, 2.0) == sample_dispersion(generic, loss, 2.0)
+
+    @pytest.mark.parametrize("cd", [
+        location_scale_cd(pk.Normal(), -1.3, 0.02),
+        location_scale_cd(pk.StudentT(4), 12.5, 3.0),
+        _exponential_cd(7),
+        _exponential_cd(500, seed=3),
+    ], ids=["normal", "student-t", "exponential-n7", "exponential-n500"])
+    def test_quantile_is_the_map_of_base_quantiles(self, cd):
+        base, to_cd = _base_map_of(cd)
+        s = np.random.default_rng(2024).uniform(1e-12, 1.0 - 1e-12, 4000)
+        assert np.array_equal(to_cd(pk.quantile(base, s)), cd_quantile(cd, s))
+        for si in s[:50]:
+            assert to_cd(pk.quantile(base, float(si))) == cd_quantile(cd, float(si))
 
 
 class TestMcDispersion:
@@ -345,6 +374,10 @@ class TestPairedCompare:
             CdGenerator("normal-mean-unknown-sigma", "pivot", 20, THETA0, 31),
             CdGenerator("normal-mean-unknown-sigma", "bootstrap-t", 20, THETA0, 31,
                         {"B": 100})),
+        # a chi-square scale-family CD against a profile-likelihood CD
+        "exponential pivot vs likelihood": (
+            CdGenerator("exponential-rate", "pivot", 30, 2.0, 77),
+            CdGenerator("exponential-rate", "likelihood", 30, 2.0, 77)),
     }
 
     @staticmethod
@@ -355,11 +388,12 @@ class TestPairedCompare:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_the_separate_passes(self, case):
         gen1, gen2 = self.CASES[case]
+        theta0 = gen1.theta0
         # the stock weight: uniform over theta0 +- 3 IQR of gen1's replicate 0
         cd0 = gen1.replicate(0)
-        spec = default_risk(THETA0, float(cd_quantile(cd0, 0.75) - cd_quantile(cd0, 0.25)))
-        fused = paired_compare(gen1, gen2, THETA0, self.EPS, self.REPS)
-        report = dominance_mc(gen1, gen2, THETA0, self.EPS, self.REPS)
+        spec = default_risk(theta0, float(cd_quantile(cd0, 0.75) - cd_quantile(cd0, 0.25)))
+        fused = paired_compare(gen1, gen2, theta0, self.EPS, self.REPS)
+        report = dominance_mc(gen1, gen2, theta0, self.EPS, self.REPS)
         assert dominance_to_json(fused.dominance) == dominance_to_json(report)
         for got, gen in zip(fused.dispersion, (gen1, gen2)):
             assert self._same(got, mc_dispersion(gen, SquaredError, self.REPS))
@@ -379,8 +413,16 @@ class TestPairedCompare:
         monkeypatch.setattr(CdGenerator, "build_cd", counting)
         gen1, gen2 = self.CASES[case]
         paired_compare(gen1, gen2, THETA0, self.EPS, 100)
-        # plus one replicate-0 read for the default risk weight
-        assert len(calls) == builds * 100 + 1
+        # replicate 0's CDs also give the default risk weight
+        assert len(calls) == builds * 100
+
+    @pytest.mark.parametrize("case", ["shared draws", "own draws"])
+    def test_first_cds_are_the_replicate_zero_cds(self, case):
+        gen1, gen2 = self.CASES[case]
+        fused = paired_compare(gen1, gen2, THETA0, self.EPS, 100)
+        s = np.linspace(0.01, 0.99, 99)
+        for got, gen in zip(fused.first_cds, (gen1, gen2)):
+            assert np.array_equal(cd_quantile(got, s), cd_quantile(gen.replicate(0), s))
 
     def test_config_checks_come_before_any_replicate(self, monkeypatch):
         def refuse(gen, data, index):

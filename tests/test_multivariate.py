@@ -20,6 +20,7 @@ from cdkit.multivariate import (
     CentralityFn,
     DepthSpec,
     MultiCD,
+    _direction_matrix,
     ccf_1d,
     central_region_test,
     centrality,
@@ -286,6 +287,27 @@ class TestCentrality:
         cloud2 = np.random.default_rng(17).normal(size=(3000, 2))
         cf2 = centrality_fn(DepthSpec("tukey"), cloud2)
         assert cf2.depth_of(probe) == depth(DepthSpec("tukey"), cloud2, probe)
+
+    def test_tukey_table_equals_per_direction_search(self):
+        # a half-unit lattice with 400 points doubled: ties in every direction
+        half = np.round(np.random.default_rng(5).normal(size=(600, 2)) * 2.0) / 2.0
+        cloud = np.concatenate([half, half[:400]])
+        cf = centrality_fn(DepthSpec("tukey", directions=360), cloud)
+        # the reference: one searchsorted per direction on that column of the sorted table
+        u = _direction_matrix(360)
+        proj = cloud @ u.T
+        cols = np.sort(proj, axis=0)
+        m = cloud.shape[0]
+
+        def count_at_least(j, values):
+            return m - np.searchsorted(cols[:, j], values, side="left")
+
+        table = np.column_stack([count_at_least(j, proj[:, j]) for j in range(360)])
+        assert np.array_equal(cf.depth_table, np.sort(np.min(table, axis=1) / m))
+        for pt in [*cloud[:50], (0.25, -0.25), (0.0, 0.0), (3.0, 1.5), (-9.0, 9.0)]:
+            pt = np.asarray(pt, dtype=float)
+            px = u @ pt
+            assert cf.depth_of(pt) == min(count_at_least(j, px[j]) for j in range(360)) / m
 
     def test_region_level_validation(self, gauss_cf):
         with pytest.raises(ParameterDomainError):
