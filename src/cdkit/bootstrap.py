@@ -142,9 +142,22 @@ def mean_block(rows: np.ndarray):
     return rows.mean(axis=1), None
 
 
+def _centered(rows: np.ndarray):
+    """Row means, deviations from them, and sds with divisor n - 1.
+
+    The sds are np.std(rows, axis=1, ddof=1) bit for bit, from the one
+    centering pass the caller also reuses.
+    """
+    means = rows.mean(axis=1)
+    d = rows - means[:, None]
+    sds = np.sqrt(np.sum(d * d, axis=1) / (rows.shape[1] - 1))
+    return means, d, sds
+
+
 def mean_se_block(rows: np.ndarray):
     """Block statistic: the resample means and their standard errors s / sqrt(n)."""
-    return rows.mean(axis=1), rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
+    means, _, sds = _centered(rows)
+    return means, sds / math.sqrt(rows.shape[1])
 
 
 def _meta(rep: ReplicateSet, variant: str, **extra) -> dict:
@@ -207,9 +220,7 @@ def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistrib
     center = data.mean
 
     def pivots(rows):
-        means = rows.mean(axis=1)
-        sds = rows.std(axis=1, ddof=1)
-        d = rows - means[:, None]
+        means, d, sds = _centered(rows)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = (d * d * d).mean(axis=1) / sds ** 3
             t = rn * (means - center) / sds

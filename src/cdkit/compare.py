@@ -8,20 +8,23 @@ dominance check compares two generators replicate by replicate, feeding both
 the same dataset so the verdict reflects the construction, not the noise.
 
 Each statistic has one per-CD reader: ``sample_dispersion``, a risk
-functional built once per weight, and the tail-mass stack.
+functional built once per weight, and the tail-mass stack.  The risk and tail
+readers reduce H values, so a caller can read both off one ``cd_eval``.
 ``mc_dispersion``, ``risk`` and ``dominance_mc`` loop one reader over a
 generator's replicates.  ``paired_compare``, which ``cdkit compare`` runs, is
 one paired pass: it builds each generator's CD once per replicate, on
-generator 1's data, and reads all three statistics off it.  Dispersion and
-risk always describe a generator on its own draws: when generator 2's data
-differ from generator 1's, its own CD is built for them, so the fused pass
-equals the separate ones bit for bit.
+generator 1's data, evaluates each CD once, at the tail points and the risk
+nodes together, and reads all three statistics off it.  Dispersion and risk
+always describe a generator on its own draws.  Whether generator 2 draws
+generator 1's data is decided once, from the two generators' draw keys; when
+the keys differ, generator 2's own CD is built for its dispersion and risk,
+so the fused pass equals the separate ones bit for bit.
 
-The dispersion quadrature needs 2048 quantiles per CD.  CDs built as a map
-of one base law's quantile (location-scale CDs over Normal or Student-t, and
-the exponential-rate pivot CD over chi-square) read them off base quantiles
-cached once per base; normal-variance, Fisher-z, likelihood and bootstrap
-CDs evaluate their own.
+The dispersion quadrature needs four probe quantiles and 2048 node quantiles
+per CD.  CDs built as a map of one base law's quantile (location-scale CDs
+over Normal or Student-t, and the exponential-rate pivot CD over chi-square)
+read both off base quantiles cached once per base; normal-variance, Fisher-z,
+likelihood and bootstrap CDs evaluate their own.
 """
 
 import csv
@@ -42,7 +45,7 @@ from .cd_core import (
     cd_quantile,
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
-from .inference import _integrability_check, _probe_quantiles
+from .inference import _PROBES, _integrability_check
 from .simlab import CdGenerator, map_indexed
 
 _DISPERSION_POINTS = 2048
@@ -153,21 +156,27 @@ def _dispersion_rule():
     return s, w, np.sum(w)
 
 
-@lru_cache(maxsize=32)
-def _base_quantiles(base: pk.DistKind) -> np.ndarray:
+def _grid_probs(grid: str) -> np.ndarray:
+    """The probabilities of a fixed quantile grid: "probes" or "dispersion"."""
+    return _PROBES if grid == "probes" else _dispersion_rule()[0]
+
+
+@lru_cache(maxsize=64)
+def _base_quantiles(base: pk.DistKind, grid: str) -> np.ndarray:
     # shared by every base-mapped CD on this base
-    q = pk.quantile(base, _dispersion_rule()[0])
+    q = pk.quantile(base, _grid_probs(grid))
     q.setflags(write=False)
     return q
 
 
-def _dispersion_quantiles(cd: ConfidenceDistribution) -> np.ndarray:
+def _grid_quantiles(cd: ConfidenceDistribution, grid: str) -> np.ndarray:
+    """cd_quantile(cd, _grid_probs(grid)); base-mapped CDs map cached base quantiles."""
     parts = _base_map_of(cd)
     if parts is None:
-        return np.asarray(cd_quantile(cd, _dispersion_rule()[0]), dtype=float)
+        return np.asarray(cd_quantile(cd, _grid_probs(grid)), dtype=float)
     base, to_cd = parts
     # the CD's own quantile_fn, on cached base quantiles
-    return to_cd(_base_quantiles(base))
+    return to_cd(_base_quantiles(base, grid))
 
 
 def _loss_values(loss: LossSpec, x: np.ndarray, theta0: float) -> np.ndarray:
@@ -182,20 +191,22 @@ def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float)
 
     Sample representations sum exactly; analytic and grid ones integrate in
     the quantile domain with 2048 Gauss points under the cubic endpoint map
-    s = 3v^2 - 2v^3, which tames the tail quantile growth.  CDs whose
-    quantile is a map of one base law's (location-scale CDs and the
-    exponential-rate pivot CD) apply that map to base quantiles computed once
-    per base, with identical bytes; every other CD evaluates its own.
+    s = 3v^2 - 2v^3, which tames the tail quantile growth.  Four probe
+    quantiles come first: they scale the loss check and reject CDs without a
+    mean before the 2048 are computed.  CDs whose quantile is a map of one
+    base law's (location-scale CDs and the exponential-rate pivot CD) apply
+    that map to probe and node base quantiles computed once per base, with
+    identical bytes; every other CD evaluates its own.
     """
     theta0 = float(theta0)
-    probes = _probe_quantiles(cd)
+    probes = _grid_quantiles(cd, "probes")
     q25, q75 = float(probes[1]), float(probes[2])
     loss.spot_check(theta0, max(q75 - q25, 1e-6 * (1.0 + abs(theta0))))
     if cd.kind == "sample":
         return float(np.dot(_loss_values(loss, cd.atoms, theta0), cd.weights))
     _integrability_check(probes)
     _, w, w_sum = _dispersion_rule()
-    q = _dispersion_quantiles(cd)
+    q = _grid_quantiles(cd, "dispersion")
     return float(np.dot(_loss_values(loss, q, theta0), w) / w_sum)
 
 
@@ -236,17 +247,19 @@ def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
 # integrated risk
 
 def _risk_reader(spec: RiskSpec, theta0: float):
-    """The functional cd -> integral of psi(|H(x) - 1[x >= theta0]|) against the weight.
+    """(nodes, reduce): a CD's risk is reduce(cd_eval(cd, nodes)).
 
-    The weight density is checked and the 256 nodes fixed once, here, so the
-    reader can be applied to many CDs.
+    reduce maps H at the nodes to the integral of psi(|H(x) - 1[x >= theta0]|)
+    against the weight.  The weight density is checked and the 256 nodes
+    fixed once, here, so the reader can be applied to many CDs.  A point-mass
+    window is a single node.
     """
     lo, hi = spec.window
     if not hi > lo:
-        def read(cd):
-            h = float(cd_eval(cd, lo))
-            return float(spec.psi(max(h, 1.0 - h)))
-        return read
+        def reduce_point(h):
+            h0 = float(h[0])
+            return float(spec.psi(max(h0, 1.0 - h0)))
+        return np.array([lo]), reduce_point
     v, gw = _gauss_nodes(_RISK_POINTS)
     xs = lo + (hi - lo) * v
     dens = np.asarray(spec.weight_density(xs), dtype=float)
@@ -257,21 +270,20 @@ def _risk_reader(spec: RiskSpec, theta0: float):
     wts = (hi - lo) * gw * dens
     upper = xs >= theta0
 
-    def read(cd):
-        h = np.asarray(cd_eval(cd, xs), dtype=float)
+    def reduce(h):
         dev = np.where(upper, 1.0 - h, h)
         vals = np.asarray(spec.psi(dev), dtype=float)
         if vals.shape != dev.shape:
             vals = np.array([float(spec.psi(d)) for d in dev])
         return float(np.dot(wts, vals))
-    return read
+    return xs, reduce
 
 
 def risk(gen: CdGenerator, spec: RiskSpec, reps: int) -> McEstimate:
     """MC mean of psi(|H(x) - 1[x >= theta0]|) integrated against the weight."""
     _check_reps(reps)
-    read = _risk_reader(spec, gen.theta0)
-    return _mc_aggregate(map_indexed(lambda i: read(gen.replicate(i)), reps))
+    nodes, reduce = _risk_reader(spec, gen.theta0)
+    return _mc_aggregate(map_indexed(lambda i: reduce(cd_eval(gen.replicate(i), nodes)), reps))
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +368,18 @@ def _paired_eps(gen1: CdGenerator, gen2: CdGenerator, eps_grid, reps: int) -> np
     return eps_arr
 
 
-def _tail_stack(cd1, cd2, lows, highs) -> np.ndarray:
-    """(4, n_eps): H1(lows), H2(lows), 1 - H1(highs), 1 - H2(highs)."""
-    return np.stack([
-        np.asarray(cd_eval(cd1, lows), dtype=float),
-        np.asarray(cd_eval(cd2, lows), dtype=float),
-        1.0 - np.asarray(cd_eval(cd1, highs), dtype=float),
-        1.0 - np.asarray(cd_eval(cd2, highs), dtype=float),
-    ])
+def _tail_points(theta0: float, eps_arr: np.ndarray) -> np.ndarray:
+    """concat(theta0 - eps, theta0 + eps): where the tail masses read H."""
+    return np.concatenate([theta0 - eps_arr, theta0 + eps_arr])
+
+
+def _tail_stack(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """(4, n_eps): H1(lows), H2(lows), 1 - H1(highs), 1 - H2(highs).
+
+    h1 and h2 hold each CD's H at the tail points, concat(lows, highs).
+    """
+    k = h1.size // 2
+    return np.stack([h1[:k], h2[:k], 1.0 - h1[k:], 1.0 - h2[k:]])
 
 
 def _dominance_report(theta0: float, eps_arr: np.ndarray, stats: np.ndarray,
@@ -405,12 +421,12 @@ def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
     """
     eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
     theta0 = float(theta0)
-    lows = theta0 - eps_arr
-    highs = theta0 + eps_arr
+    tails = _tail_points(theta0, eps_arr)
 
     def one(i):
         data = gen1.draw_data(i)
-        return _tail_stack(gen1.build_cd(data, i), gen2.build_cd(data, i), lows, highs)
+        return _tail_stack(cd_eval(gen1.build_cd(data, i), tails),
+                           cd_eval(gen2.build_cd(data, i), tails))
 
     return _dominance_report(theta0, eps_arr, np.stack(map_indexed(one, reps)), reps)
 
@@ -434,9 +450,11 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
     """dominance_mc, mc_dispersion and risk of both generators in one pass.
 
     Replicate i draws gen1's data once and builds each generator's CD on it
-    once; the tail masses, both dispersions and both risks are read off those
-    two CDs.  Dispersion and risk describe each generator on its own draws, as
-    mc_dispersion and risk do: when gen2.draw_data(i) differs from gen1's
+    once; each CD is evaluated once, at the tail points and the risk nodes
+    together, and the tail masses, both dispersions and both risks are read
+    off those two CDs.  Dispersion and risk describe each generator on its
+    own draws, as mc_dispersion and risk do.  The generators' draw keys say,
+    once for the whole pass, whether gen2 draws gen1's data; when they differ
     (another seed, theta0 or sigma), gen2's own CD is built for those reads.
     So the result equals the three separate calls bit for bit.
 
@@ -446,29 +464,37 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
     """
     eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
     theta0 = float(theta0)
-    lows = theta0 - eps_arr
-    highs = theta0 + eps_arr
+    tails = _tail_points(theta0, eps_arr)
+    shared = gen1.draw_key == gen2.draw_key
 
     def build(i):
         """(gen1's CD, gen2's CD on gen1's data, gen2's CD on its own data)."""
         data = gen1.draw_data(i)
         cd1 = gen1.build_cd(data, i)
         cd2 = gen2.build_cd(data, i)
-        own = gen2.draw_data(i)
-        return cd1, cd2, (cd2 if np.array_equal(own, data) else gen2.build_cd(own, i))
+        return cd1, cd2, (cd2 if shared else gen2.replicate(i))
 
     first = build(0)
     q25, q75 = cd_quantile(first[0], np.array([0.25, 0.75]))
     spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
-    read_risk1 = _risk_reader(spec, gen1.theta0)
-    read_risk2 = _risk_reader(spec, gen2.theta0)
+    nodes, risk1 = _risk_reader(spec, gen1.theta0)
+    _, risk2 = _risk_reader(spec, gen2.theta0)
+    points = np.concatenate([tails, nodes])
+    n_tail = tails.size
 
     def read(cds):
         cd1, cd2, own2 = cds
-        return (_tail_stack(cd1, cd2, lows, highs),
+        h1 = cd_eval(cd1, points)
+        if shared:
+            h2 = cd_eval(cd2, points)
+            h_own2 = h2[n_tail:]
+        else:
+            h2 = cd_eval(cd2, tails)
+            h_own2 = cd_eval(own2, nodes)
+        return (_tail_stack(h1[:n_tail], h2[:n_tail]),
                 sample_dispersion(cd1, SquaredError, gen1.theta0),
                 sample_dispersion(own2, SquaredError, gen2.theta0),
-                read_risk1(cd1), read_risk2(own2))
+                risk1(h1[n_tail:]), risk2(h_own2))
 
     rows = [read(first)] + map_indexed(lambda i: read(build(i + 1)), reps - 1)
     return PairedComparison(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -70,15 +71,16 @@ class DataSample:
     def n(self) -> int:
         return self.values.size
 
-    @property
+    # values are read-only, so the moments are computed once
+    @cached_property
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    @property
+    @cached_property
     def sd(self) -> float:
         return float(np.std(self.values, ddof=1))
 
-    @property
+    @cached_property
     def skewness(self) -> float:
         s = self.sd
         if s <= 0.0:

@@ -85,10 +85,11 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
     """Profile loglik(theta, eta) over eta on a theta grid.
 
     The evaluator is called as loglik(theta, eta_hat(theta)), with eta_hat
-    found by the supplied bounded maximizer (eta is None without one).  The
-    peak must be interior to the window; it is refined by a quadratic fit
-    through the best three grid points and the curvature comes from a central
-    second difference with the grid spacing as step.
+    found by the supplied bounded maximizer (eta is None without one); on
+    the grid, theta is a Python float.  The peak must be interior to the
+    window; it is refined by a quadratic fit through the best three grid
+    points and the curvature comes from a central second difference with the
+    grid spacing as step.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -110,7 +111,8 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
             raise OptimizationFailureError(f"log-likelihood failed: {exc}", theta=theta) from exc
 
     grid = np.linspace(lo, hi, grid_size)
-    ell = np.array([profiled(th) for th in grid])
+    # Python floats, not numpy scalars: the same doubles, cheaper arithmetic
+    ell = np.array([profiled(th) for th in grid.tolist()])
     if not np.all(np.isfinite(ell)):
         bad = float(grid[int(np.argmax(~np.isfinite(ell)))])
         raise ParameterDomainError(f"log-likelihood is not finite at theta = {bad}")

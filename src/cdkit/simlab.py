@@ -169,6 +169,19 @@ class CdGenerator:
     def stream(self, index: int) -> pk.RngStream:
         return pk.RngStream(self.master_seed, index)
 
+    @property
+    def draw_key(self) -> tuple:
+        """Everything draw_data reads: generators with equal keys draw equal data.
+
+        The two normal-mean models draw alike, so they share a family.
+        """
+        if self.model in ("normal-mean-known-sigma", "normal-mean-unknown-sigma"):
+            return ("normal-mean", self.n, self.theta0, self.master_seed,
+                    self._param("sigma", 1.0))
+        if self.model == "normal-variance":
+            return (self.model, self.n, self.theta0, self.master_seed, self._param("mean", 0.0))
+        return (self.model, self.n, self.theta0, self.master_seed)
+
     def draw_data(self, index: int) -> np.ndarray:
         rng = self.stream(index).child(0).generator()
         if self.model == "normal-mean-known-sigma" or self.model == "normal-mean-unknown-sigma":

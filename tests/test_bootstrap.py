@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import cdkit.bootstrap as bootstrap_module
 from cdkit.bootstrap import (
     ReplicateSet,
     ResamplePlan,
@@ -27,6 +28,10 @@ from cdkit.errors import (
     ParameterDomainError,
 )
 from cdkit.probkernel import RngStream
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _mean(row):
@@ -90,6 +95,16 @@ class TestResampling:
                 assert np.array_equal(fast.se, ref.se)
         if values.size == 5:
             assert resample_block(data, plan, mean_se_block).excluded > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 101])
+    def test_block_sds_are_numpy_std_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        # constant rows, at zero and away from it, have sd exactly 0
+        rows = np.vstack([rng.gamma(2.0, 1.5, size=(40, n)), np.full((1, n), 2.5),
+                          np.zeros((1, n))])
+        means, se = mean_se_block(rows)
+        assert _same_bits(means, rows.mean(axis=1))
+        assert _same_bits(se, rows.std(axis=1, ddof=1) / math.sqrt(n))
 
     def test_dump_replicates_csv(self, skewed_data, tmp_path):
         rep = resample(skewed_data, ResamplePlan(120, RngStream(8)), _mean, _se)
@@ -209,6 +224,31 @@ class TestSkewCorrected:
         m = int(math.floor(0.25 * pivots.size))
         expect_q = hall_pivot_inverse(skewed_data, pivots[m])
         assert cd_quantile(cd, 0.75) == pytest.approx(expect_q, abs=1e-12)
+
+    def test_pivots_equal_the_numpy_std_formula_bit_for_bit(self, skewed_data, monkeypatch):
+        captured = []
+
+        def capture(data, plan, block_statistic):
+            captured.append(block_statistic)
+            return resample_block(data, plan, block_statistic)
+
+        monkeypatch.setattr(bootstrap_module, "resample_block", capture)
+        hall_bootstrap_cd(skewed_data, ResamplePlan(200, RngStream(59)))
+        (pivots,) = captured
+        n, center = skewed_data.n, skewed_data.mean
+        rn = math.sqrt(n)
+        rows = np.vstack([np.random.default_rng(5).gamma(2.0, 1.5, size=(60, n)),
+                          np.full((1, n), center), np.zeros((1, n))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            means = rows.mean(axis=1)
+            sds = rows.std(axis=1, ddof=1)
+            d = rows - means[:, None]
+            lam = (d * d * d).mean(axis=1) / sds ** 3
+            t = rn * (means - center) / sds
+            want = t + lam / (6.0 * rn) * (2.0 * t * t + 1.0) + lam * lam / (27.0 * n) * t ** 3
+        got, se = pivots(rows)
+        assert se is None
+        assert _same_bits(got, want)
 
     def test_quantile_cdf_round_trip_within_step(self, skewed_data):
         cd = hall_bootstrap_cd(skewed_data, ResamplePlan(400, RngStream(56)))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import cdkit.compare as compare_module
 import cdkit.probkernel as pk
 from cdkit.cd_core import (
     _base_map_of,
@@ -17,6 +18,8 @@ from cdkit.cd_core import (
     sample_cd,
 )
 from cdkit.compare import (
+    _grid_probs,
+    _grid_quantiles,
     Absolute,
     LossSpec,
     RiskSpec,
@@ -44,6 +47,7 @@ from cdkit.errors import (
     PairingError,
     ParameterDomainError,
 )
+from cdkit.inference import _probe_quantiles
 from cdkit.simlab import CdGenerator
 
 THETA0 = 0.0
@@ -129,6 +133,15 @@ def _exponential_cd(n, seed=17):
     return exponential_rate_cd(DataSample(np.random.default_rng(seed).exponential(0.5, n)))
 
 
+_BASE_MAPPED = [
+    location_scale_cd(pk.Normal(), -1.3, 0.02),
+    location_scale_cd(pk.StudentT(4), 12.5, 3.0),
+    _exponential_cd(7),
+    _exponential_cd(500, seed=3),
+]
+_BASE_MAPPED_IDS = ["normal", "student-t", "exponential-n7", "exponential-n500"]
+
+
 class TestDispersionFastPath:
     @pytest.mark.parametrize("base", [pk.Normal(), pk.StudentT(9), pk.StudentT(3.5)])
     @pytest.mark.parametrize("loss", [SquaredError, Absolute])
@@ -152,12 +165,14 @@ class TestDispersionFastPath:
         # cached chi-square quantiles, then q / (2 sum x): the bytes of quantile_fn
         assert sample_dispersion(cd, loss, 2.0) == sample_dispersion(generic, loss, 2.0)
 
-    @pytest.mark.parametrize("cd", [
-        location_scale_cd(pk.Normal(), -1.3, 0.02),
-        location_scale_cd(pk.StudentT(4), 12.5, 3.0),
-        _exponential_cd(7),
-        _exponential_cd(500, seed=3),
-    ], ids=["normal", "student-t", "exponential-n7", "exponential-n500"])
+    @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)
+    def test_probes_are_the_map_of_base_quantiles(self, cd):
+        # the four probes sample_dispersion reads first come off the base cache
+        assert np.array_equal(_grid_quantiles(cd, "probes"), _probe_quantiles(cd))
+        assert np.array_equal(_grid_quantiles(cd, "dispersion"),
+                              cd_quantile(cd, _grid_probs("dispersion")))
+
+    @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)
     def test_quantile_is_the_map_of_base_quantiles(self, cd):
         base, to_cd = _base_map_of(cd)
         s = np.random.default_rng(2024).uniform(1e-12, 1.0 - 1e-12, 4000)
@@ -378,6 +393,15 @@ class TestPairedCompare:
         "exponential pivot vs likelihood": (
             CdGenerator("exponential-rate", "pivot", 30, 2.0, 77),
             CdGenerator("exponential-rate", "likelihood", 30, 2.0, 77)),
+        # generator 2 draws with another sigma: its own draws
+        "another sigma": (
+            CdGenerator("normal-mean-known-sigma", "pivot", 10, THETA0, 424242),
+            CdGenerator("normal-mean-unknown-sigma", "pivot", 10, THETA0, 424242,
+                        {"sigma": 1.5})),
+        # generator 2 draws around another mean: its own draws
+        "normal-variance, another mean": (
+            CdGenerator("normal-variance", "pivot", 12, 2.0, 5),
+            CdGenerator("normal-variance", "pivot", 12, 2.0, 5, {"mean": 1.0})),
     }
 
     @staticmethod
@@ -415,6 +439,28 @@ class TestPairedCompare:
         paired_compare(gen1, gen2, THETA0, self.EPS, 100)
         # replicate 0's CDs also give the default risk weight
         assert len(calls) == builds * 100
+
+    def test_shared_draws_read_each_cd_once(self, monkeypatch):
+        monkeypatch.setenv("CDKIT_THREADS", "1")
+        draws, evals = [], []
+        draw, evaluate = CdGenerator.draw_data, compare_module.cd_eval
+
+        def counting_draw(gen, index):
+            draws.append(index)
+            return draw(gen, index)
+
+        def counting_eval(cd, x):
+            evals.append(np.size(x))
+            return evaluate(cd, x)
+
+        monkeypatch.setattr(CdGenerator, "draw_data", counting_draw)
+        monkeypatch.setattr(compare_module, "cd_eval", counting_eval)
+        gen1, gen2 = self.CASES["shared draws"]
+        paired_compare(gen1, gen2, THETA0, self.EPS, 100)
+        # pairing is decided from the draw keys, not by drawing gen2's data
+        assert sorted(draws) == list(range(100))
+        # one read per CD: both tail points and risk nodes
+        assert evals == [2 * len(self.EPS) + 256] * 200
 
     @pytest.mark.parametrize("case", ["shared draws", "own draws"])
     def test_first_cds_are_the_replicate_zero_cds(self, case):

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import kstest
 
+import cdkit.simlab as simlab
 from cdkit.cd_core import cd_eval, cd_quantile
 from cdkit.errors import (
     OptimizationFailureError,
@@ -23,6 +24,7 @@ from cdkit.likelihood import (
     scalar_maximizer,
     wald_acd,
 )
+from cdkit.simlab import CdGenerator
 
 
 def _normal_loglik(xbar, sigma, n):
@@ -66,6 +68,37 @@ class TestProfileCurve:
         curve = profile_curve(loglik, (xbar - 1.0, xbar + 1.0), 128,
                               scalar_maximizer(0.05, 10.0), n=n)
         assert curve.theta_hat == pytest.approx(xbar, abs=1e-5)
+
+    @pytest.mark.parametrize("model", ["normal-mean-known-sigma", "exponential-rate"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_python_float_grid_equals_numpy_scalar_grid(self, monkeypatch, model, seed):
+        # the grid is profiled on Python floats: the built-in logliks must give
+        # the bytes they give on the ndarray's own elements
+        captured = []
+
+        def capture(loglik, window, grid_size, **kwargs):
+            captured.append((loglik, window, grid_size, kwargs["n"]))
+            return likelihood_acd(loglik, window, grid_size, **kwargs)
+
+        monkeypatch.setattr(simlab, "likelihood_acd", capture)
+        CdGenerator(model, "likelihood", 30, 1.5, seed).replicate(0)
+        loglik, window, grid_size, n = captured[0]
+        seen = []
+
+        def recording(theta, eta):
+            seen.append(loglik(theta, eta))
+            return seen[-1]
+
+        curve = profile_curve(recording, window, grid_size, n=n)
+        grid = np.linspace(window[0], window[1], grid_size)
+        ref = np.array([float(loglik(th, None)) for th in grid])
+        assert np.array(seen[:grid_size], dtype=float).tobytes() == ref.tobytes()
+        on_scalars = profile_curve(lambda th, eta: loglik(np.float64(th), eta), window,
+                                   grid_size, n=n)
+        assert curve.grid.tobytes() == on_scalars.grid.tobytes()
+        assert curve.ell_star.tobytes() == on_scalars.ell_star.tobytes()
+        assert (curve.theta_hat, curve.i_n, curve.c_n) == (
+            on_scalars.theta_hat, on_scalars.i_n, on_scalars.c_n)
 
     def test_peak_on_edge_raises(self):
         with pytest.raises(WindowTooNarrowError):

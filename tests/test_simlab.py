@@ -74,6 +74,36 @@ class TestGeneratorConfig:
         assert np.array_equal(gen.draw_data(3), gen.draw_data(3))
         assert not np.array_equal(gen.draw_data(3), gen.draw_data(4))
 
+    BASE = CdGenerator("normal-mean-known-sigma", "pivot", 12, 0.5, 31)
+    VARIANCE = CdGenerator("normal-variance", "pivot", 12, 2.0, 31)
+
+    @pytest.mark.parametrize("gen1, gen2", [
+        (BASE, CdGenerator("normal-mean-unknown-sigma", "hall-bootstrap", 12, 0.5, 31)),
+        (BASE, CdGenerator("normal-mean-known-sigma", "pivot", 12, 0.5, 31, {"sigma": 1.0})),
+        (BASE, CdGenerator("normal-mean-unknown-sigma", "pivot", 12, 0.5, 31, {"sigma": 2.0})),
+        (BASE, CdGenerator("normal-mean-known-sigma", "pivot", 12, 0.5, 32)),
+        (BASE, CdGenerator("normal-mean-known-sigma", "pivot", 12, 0.7, 31)),
+        (BASE, CdGenerator("normal-mean-known-sigma", "pivot", 13, 0.5, 31)),
+        (BASE, CdGenerator("normal-mean-known-sigma", "bootstrap-t", 12, 0.5, 31, {"B": 300})),
+        (BASE, CdGenerator("normal-mean-known-sigma", "likelihood", 12, 0.5, 31,
+                           {"grid_size": 128})),
+        (VARIANCE, CdGenerator("normal-variance", "point-mass", 12, 2.0, 31, {"mean": 0.0})),
+        (VARIANCE, CdGenerator("normal-variance", "pivot", 12, 2.0, 31, {"mean": 1.5})),
+        (VARIANCE, CdGenerator("normal-variance", "pivot", 12, 2.0, 30)),
+        (VARIANCE, CdGenerator("normal-variance", "pivot", 12, 2.0, 31, {"sigma": 3.0})),
+        (CdGenerator("exponential-rate", "pivot", 12, 2.0, 31),
+         CdGenerator("exponential-rate", "likelihood", 12, 2.0, 31, {"sigma": 3.0})),
+        (CdGenerator("exponential-rate", "pivot", 12, 2.0, 31),
+         CdGenerator("exponential-rate", "pivot", 12, 2.5, 31)),
+        (CdGenerator("bivariate-normal-correlation", "pivot", 12, 0.3, 31),
+         CdGenerator("bivariate-normal-correlation", "point-mass", 12, 0.3, 31, {"mean": 1.0})),
+        (CdGenerator("bivariate-normal-correlation", "pivot", 12, 0.3, 31),
+         CdGenerator("bivariate-normal-correlation", "pivot", 12, 0.3, 33)),
+    ])
+    def test_draw_keys_agree_exactly_when_draws_do(self, gen1, gen2):
+        same = all(np.array_equal(gen1.draw_data(i), gen2.draw_data(i)) for i in range(5))
+        assert (gen1.draw_key == gen2.draw_key) == same
+
     def test_correlation_data_shape_and_moments(self):
         gen = CdGenerator("bivariate-normal-correlation", "pivot", 4000, 0.6, 11)
         data = gen.draw_data(0)
