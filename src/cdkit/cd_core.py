@@ -10,16 +10,27 @@ space.  Three representations cover the toolkit:
 
 All evaluators accept scalars or arrays.  Quantiles use the generalized
 inverse inf{x : H(x) >= s} throughout.
+
+The named exact CDs are family CDs.  A small frozen ``FamilySpec`` names a
+row of one table (location-scale over Normal or Student-t, inverse
+chi-square scale, Fisher z, chi-square rate) and holds its parameters;
+``family_cd`` binds the row's cdf, quantile, density and log tails to them
+and keeps the spec as ``cd.family``.  A family CD's file carries its spec,
+so it reloads as the same CD.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import lru_cache, partial
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
+from scipy import special as _sp
 
 from . import probkernel as pk
 from .errors import (
@@ -32,6 +43,8 @@ __all__ = [
     "ConfidenceDistribution",
     "CdRandomVariable",
     "analytic_cd",
+    "FamilySpec",
+    "family_cd",
     "location_scale_cd",
     "grid_cd",
     "sample_cd",
@@ -40,7 +53,6 @@ __all__ = [
     "cd_density",
     "cd_log_lower",
     "cd_log_upper",
-    "cd_sample",
     "transform_cd",
     "central_interval",
     "materialize",
@@ -67,8 +79,8 @@ class ConfidenceDistribution:
     atoms: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-    # (base, to_cd), set only by _base_mapped_cd; copies drop it
-    _base_map: Optional[tuple] = field(default=None, init=False)
+    # the family spec, set only by family_cd; copies drop it
+    family: Optional[FamilySpec] = field(default=None, init=False)
 
     def __repr__(self):  # the payload arrays/callables are noise in logs
         lo, hi = self.support
@@ -97,47 +109,165 @@ def analytic_cd(cdf_fn, support=_REAL_LINE, *, quantile_fn=None, density_fn=None
     )
 
 
-def _base_mapped_cd(base: pk.DistKind, to_cd, cdf_fn, support,
-                    **companions) -> ConfidenceDistribution:
-    """Analytic CD whose quantile at s is exactly ``to_cd(pk.quantile(base, s))``.
+# ---------------------------------------------------------------------------
+# family specs: the named exact CDs as data
 
-    ``to_cd`` is an increasing map from the base law's scale to the
-    parameter's.  The pair is recorded for :func:`_base_map_of`, so readers
-    that need one quantile grid for many CDs on the same base compute the
-    base quantiles once.  Only this function sets the record: a CD built any
-    other way, even from this one's callables and ``meta``, has none.
-    """
-    cd = analytic_cd(cdf_fn, support, quantile_fn=lambda s: to_cd(pk.quantile(base, s)),
-                     **companions)
-    object.__setattr__(cd, "_base_map", (base, to_cd))
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family CD as data: ``name`` names its row of the family table and
+    ``params`` holds that row's parameters, finite reals (a location-scale
+    ``df`` of None is a Normal base).  A spec is checked when built."""
+
+    name: str
+    params: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        row = _FAMILIES.get(self.name)
+        if row is None:
+            raise ParameterDomainError(f"unknown CD family {self.name!r}")
+        for key, v in self.params.items():
+            if not (v is None and (self.name, key) == ("location-scale", "df")
+                    or isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v)):
+                raise ParameterDomainError(f"{self.name} {key} must be a finite real, got {v!r}")
+        try:
+            valid = row.valid(**self.params)
+        except TypeError as exc:  # a missing or an unknown parameter
+            raise ParameterDomainError(f"{self.name} parameters: {exc}") from exc
+        if not valid:
+            raise ParameterDomainError(f"{self.name} needs {row.domain}, got {dict(self.params)}")
+
+
+def _normal_pdf(z):
+    return np.exp(-0.5 * np.asarray(z, float) ** 2) / math.sqrt(2.0 * math.pi)
+
+
+def _t_pdf(df, z):
+    z = np.asarray(z, float)
+    c = _sp.gammaln((df + 1.0) / 2.0) - _sp.gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
+    return np.exp(c - 0.5 * (df + 1.0) * np.log1p(z * z / df))
+
+
+def _chi2_pdf(df, x):
+    x = np.asarray(x, float)
+    a = df / 2.0
+    with np.errstate(all="ignore"):
+        out = np.exp((a - 1.0) * np.log(x) - x / 2.0 - a * math.log(2.0) - _sp.gammaln(a))
+    return np.where(x > 0.0, out, 0.0)
+
+
+# base laws are rebuilt from the parameters on every call; these keep it cheap
+@lru_cache(maxsize=64)
+def _t_or_normal(df):
+    return pk.Normal() if df is None else pk.StudentT(df)
+
+
+@lru_cache(maxsize=64)
+def _chi2(df):
+    return pk.ChiSquare(df)
+
+
+def _atanh(x):
+    return np.arctanh(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
+
+
+def _fisher_pivot(z, r, n):
+    """sqrt(n - 3) (z - atanh r): standard normal at z = atanh(theta)."""
+    return math.sqrt(n - 3.0) * (z - math.atanh(r))
+
+
+class _Row(NamedTuple):
+    """A family's domain, support and callables of (x or s, **params).  A
+    base-mapped row's quantile is from_base(pk.quantile(base(**params), s))."""
+
+    domain: str
+    valid: Callable
+    support: tuple
+    cdf: Callable
+    density: Callable
+    log_tail: Callable
+    quantile: Optional[Callable] = None
+    base: Optional[Callable] = None
+    from_base: Optional[Callable] = None
+
+
+_FAMILIES = {
+    "location-scale": _Row(
+        "scale > 0, and df > 0 unless None",
+        lambda loc, scale, df: scale > 0.0 and (df is None or df > 0.0), _REAL_LINE,
+        cdf=lambda x, loc, scale, df: pk.cdf(_t_or_normal(df), (np.asarray(x, float) - loc) / scale),
+        density=lambda x, loc, scale, df: (_normal_pdf if df is None else partial(_t_pdf, df))(
+            (np.asarray(x, float) - loc) / scale) / scale,
+        log_tail=lambda x, side, loc, scale, df: pk.log_tail(
+            _t_or_normal(df), (float(x) - loc) / scale, side),
+        base=lambda loc, scale, df: _t_or_normal(df),
+        from_base=lambda q, loc, scale, df: loc + scale * q),
+    "inverse-chi2-scale": _Row(
+        "df > 0 and scale_ssq > 0",
+        lambda df, scale_ssq: df > 0.0 and scale_ssq > 0.0, (0.0, math.inf),
+        cdf=lambda x, df, scale_ssq: np.where(np.asarray(x, float) > 0.0, _sp.chdtrc(
+            df, scale_ssq / np.maximum(np.asarray(x, float), 1e-300)), 0.0),
+        density=lambda x, df, scale_ssq: _chi2_pdf(
+            df, scale_ssq / np.maximum(np.asarray(x, float), 1e-300))
+        * scale_ssq / np.maximum(np.asarray(x, float), 1e-300) ** 2,
+        # H(x) = P(chi2_df >= scale_ssq / x): the tails swap sides
+        log_tail=lambda x, side, df, scale_ssq: pk.log_tail(
+            _chi2(df), scale_ssq / max(float(x), 1e-300),
+            "upper" if side == "lower" else "lower"),
+        quantile=lambda s, df, scale_ssq: scale_ssq / _sp.chdtri(df, np.asarray(s, dtype=float))),
+    "fisher-z": _Row(
+        "|r| < 1 and n > 3",
+        lambda r, n: abs(r) < 1.0 and n > 3.0, (-1.0, 1.0),
+        cdf=lambda x, r, n: _sp.ndtr(_fisher_pivot(_atanh(x), r, n)),
+        density=lambda x, r, n: _normal_pdf(_fisher_pivot(_atanh(x), r, n)) * math.sqrt(n - 3.0)
+        / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300),
+        log_tail=lambda x, side, r, n: float(_sp.log_ndtr(
+            (1.0 if side == "lower" else -1.0) * _fisher_pivot(math.atanh(float(x)), r, n))),
+        quantile=lambda s, r, n: np.tanh(math.atanh(r) + _sp.ndtri(np.asarray(s, dtype=float))
+                                         / math.sqrt(n - 3.0))),
+    "chi2-rate": _Row(
+        "n > 0 and total > 0",
+        lambda n, total: n > 0.0 and total > 0.0, (0.0, math.inf),
+        cdf=lambda x, n, total: pk.cdf(_chi2(2.0 * n),
+                                       2.0 * total * np.maximum(np.asarray(x, float), 0.0)),
+        density=lambda x, n, total: _chi2_pdf(2.0 * n, 2.0 * total * np.asarray(x, float))
+        * 2.0 * total,
+        log_tail=lambda x, side, n, total: pk.log_tail(_chi2(2.0 * n),
+                                                       2.0 * total * float(x), side),
+        base=lambda n, total: _chi2(2.0 * n),
+        from_base=lambda q, n, total: q / (2.0 * total)),
+}
+
+
+def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
+    """The analytic CD of a family spec: its table row's callables bound to the
+    spec's parameters.  ``cd.family`` keeps the spec; no other factory sets it."""
+    row, p = _FAMILIES[spec.name], dict(spec.params)
+    if row.from_base is None:
+        quantile = lambda s: row.quantile(s, **p)
+    else:
+        base = row.base(**p)
+        quantile = lambda s: row.from_base(pk.quantile(base, s), **p)
+    cd = analytic_cd(lambda x: row.cdf(x, **p), row.support, quantile_fn=quantile,
+                     density_fn=lambda x: row.density(x, **p),
+                     log_cdf_fn=lambda x: row.log_tail(x, "lower", **p),
+                     log_sf_fn=lambda x: row.log_tail(x, "upper", **p), meta=meta)
+    object.__setattr__(cd, "family", spec)
     return cd
 
 
-def _base_map_of(cd: ConfidenceDistribution):
-    """(base, to_cd) of a CD built by :func:`_base_mapped_cd`, else None."""
-    return cd._base_map
-
-
-def location_scale_cd(base: pk.DistKind, loc: float, scale: float,
-                      support=_REAL_LINE, *, density_fn=None, meta=None) -> ConfidenceDistribution:
-    """CD of loc + scale * X for a known base distribution (scale > 0).
-
-    ``meta`` records loc, scale and base; its quantile is mapped off the base
-    law's (see :func:`_base_mapped_cd`).
-    """
-    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(loc)):
-        raise ParameterDomainError("location_scale_cd needs finite loc and positive scale")
-    full_meta = {**(meta or {}), "loc": loc, "scale": scale, "base": base}
-    return _base_mapped_cd(
-        base,
-        lambda q: loc + scale * q,
-        lambda x: pk.cdf(base, (np.asarray(x, float) - loc) / scale),
-        support,
-        density_fn=density_fn,
-        log_cdf_fn=lambda x: pk.log_tail(base, (float(x) - loc) / scale, "lower"),
-        log_sf_fn=lambda x: pk.log_tail(base, (float(x) - loc) / scale, "upper"),
-        meta=full_meta,
-    )
+def location_scale_cd(base: pk.DistKind, loc: float, scale: float, *,
+                      meta=None) -> ConfidenceDistribution:
+    """CD of loc + scale * X for X ~ base, Normal() or StudentT(df), scale > 0."""
+    if isinstance(base, pk.StudentT):
+        df = float(base.df)
+    elif base == pk.Normal():
+        df = None
+    else:
+        raise ParameterDomainError(f"location_scale_cd needs Normal() or StudentT(df), got {base}")
+    return family_cd(FamilySpec("location-scale",
+                                {"loc": float(loc), "scale": float(scale), "df": df}), meta)
 
 
 def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:
@@ -333,10 +463,6 @@ class CdRandomVariable:
         return np.asarray(cd_quantile(self.cd, u), dtype=float)
 
 
-def cd_sample(rv: CdRandomVariable, count: int) -> np.ndarray:
-    return rv.sample(count)
-
-
 # ---------------------------------------------------------------------------
 # transforms and intervals
 
@@ -454,24 +580,42 @@ def materialize(cd: ConfidenceDistribution, n_grid: int = 1025) -> ConfidenceDis
     return grid_cd(th, cd_eval(cd, th), meta=cd.meta)
 
 
+_FAMILY_TAG = "# cdkit-family "
+
+
 def save_cd_csv(cd: ConfidenceDistribution, path) -> None:
-    """Write a grid CD as (theta, H) rows or a sample CD as (atom, weight) rows."""
+    """Write a grid CD as (theta, H) rows or a sample CD as (atom, weight) rows.
+
+    A family CD first writes its spec as one ``# cdkit-family {json}`` line,
+    then the rows of its materialized grid for readers that skip that line.
+    """
     out = materialize(cd)
+    header, first, second = ((["theta", "H"], out.theta, out.values) if out.kind == "grid"
+                             else (["atom", "weight"], out.atoms, out.weights))
     with open(path, "w", newline="") as fh:
+        if cd.family is not None:  # json writes floats as repr: they read back exactly
+            body = json.dumps({"family": cd.family.name, **cd.family.params})
+            fh.write(f"{_FAMILY_TAG}{body}\r\n")
         w = csv.writer(fh)
-        if out.kind == "grid":
-            w.writerow(["theta", "H"])
-            for t, v in zip(out.theta, out.values):
-                w.writerow([f"{t:.17g}", f"{v:.17g}"])
-        else:
-            w.writerow(["atom", "weight"])
-            for a, wt in zip(out.atoms, out.weights):
-                w.writerow([f"{a:.17g}", f"{wt:.17g}"])
+        w.writerow(header)
+        w.writerows([f"{a:.17g}", f"{b:.17g}"] for a, b in zip(first, second))
 
 
 def load_cd_csv(path) -> ConfidenceDistribution:
-    """Reload a CD written by :func:`save_cd_csv`; the header names the kind."""
+    """Reload a CD written by :func:`save_cd_csv`.
+
+    A ``# cdkit-family`` first line rebuilds the family CD from its spec
+    alone; otherwise the column header names the kind, grid or sample.
+    """
     with open(path, newline="") as fh:
+        first = fh.readline()
+        if first.startswith(_FAMILY_TAG):
+            try:
+                body = json.loads(first[len(_FAMILY_TAG):])
+                return family_cd(FamilySpec(body.pop("family"), body))
+            except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+                raise ParameterDomainError(f"{path}: bad cdkit-family line: {exc!r}") from exc
+        fh.seek(0)
         rows = list(csv.reader(fh))
     if not rows or len(rows[0]) != 2:
         raise ParameterDomainError(f"{path}: expected a two-column CD file")

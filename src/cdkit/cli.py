@@ -117,16 +117,15 @@ def _cmd_construct(args) -> dict:
             cd = normal_variance_cd(sample)
         else:
             cd = exponential_rate_cd(sample)
+    # a family CD reloads from its file as this very CD
     save_cd_csv(cd, args.out)
-    # summarize what was written, so estimates match any later reload exactly
-    back = load_cd_csv(args.out)
     return {
         "command": "construct",
         "config": {"model": args.model, "sigma": args.sigma, "data": args.data,
                    "out": args.out},
         "cd_file": args.out,
-        "estimates": _point_estimates(back),
-        "intervals": {f"{lv:.2f}": list(central_interval(back, lv)) for lv in _LEVELS},
+        "estimates": _point_estimates(cd),
+        "intervals": {f"{lv:.2f}": list(central_interval(cd, lv)) for lv in _LEVELS},
     }
 
 

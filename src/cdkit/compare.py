@@ -21,10 +21,10 @@ the keys differ, generator 2's own CD is built for its dispersion and risk,
 so the fused pass equals the separate ones bit for bit.
 
 The dispersion quadrature needs four probe quantiles and 2048 node quantiles
-per CD.  CDs built as a map of one base law's quantile (location-scale CDs
-over Normal or Student-t, and the exponential-rate pivot CD over chi-square)
-read both off base quantiles cached once per base; normal-variance, Fisher-z,
-likelihood and bootstrap CDs evaluate their own.
+per CD.  Base-mapped CDs, read off ``cd.family`` (location-scale over Normal
+or Student-t, and the exponential-rate pivot CD over chi-square), map base
+quantiles cached once per base; normal-variance, Fisher-z, likelihood and
+bootstrap CDs evaluate their own.
 """
 
 import csv
@@ -37,8 +37,8 @@ import numpy as np
 
 from . import probkernel as pk
 from .cd_core import (
+    _FAMILIES,
     ConfidenceDistribution,
-    _base_map_of,
     cd_eval,
     cd_log_lower,
     cd_log_upper,
@@ -170,13 +170,13 @@ def _base_quantiles(base: pk.DistKind, grid: str) -> np.ndarray:
 
 
 def _grid_quantiles(cd: ConfidenceDistribution, grid: str) -> np.ndarray:
-    """cd_quantile(cd, _grid_probs(grid)); base-mapped CDs map cached base quantiles."""
-    parts = _base_map_of(cd)
-    if parts is None:
+    """cd_quantile(cd, _grid_probs(grid)); base-mapped family CDs map cached base quantiles."""
+    row = None if cd.family is None else _FAMILIES[cd.family.name]
+    if row is None or row.from_base is None:
         return np.asarray(cd_quantile(cd, _grid_probs(grid)), dtype=float)
-    base, to_cd = parts
     # the CD's own quantile_fn, on cached base quantiles
-    return to_cd(_base_quantiles(base, grid))
+    p = cd.family.params
+    return row.from_base(_base_quantiles(row.base(**p), grid), **p)
 
 
 def _loss_values(loss: LossSpec, x: np.ndarray, theta0: float) -> np.ndarray:

@@ -3,8 +3,9 @@
 The general recipe: if psi(data, theta) has a known law G free of theta and
 is monotone in theta, substituting theta -> x gives the CD
 H(x) = G(psi(data, x)) when psi increases in theta, and 1 - G(psi(data, x))
-when it decreases.  The named constructors below are closed-form instances
-with exact quantiles, densities, and log-space tails attached.
+when it decreases.  The named constructors below are closed-form instances:
+each returns a family CD (see :mod:`cdkit.cd_core`), whose spec supplies
+exact quantiles, densities, and log-space tails.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from . import probkernel as pk
 from .cd_core import (
     ConfidenceDistribution,
-    _base_mapped_cd,
+    FamilySpec,
     analytic_cd,
     cd_quantile,
+    family_cd,
     location_scale_cd,
 )
 from .errors import (
@@ -198,43 +199,16 @@ def _direction_spot_check(psi_arr, cd, direction):
 # ---------------------------------------------------------------------------
 # named constructors
 
-def _normal_pdf(z):
-    return np.exp(-0.5 * np.asarray(z, float) ** 2) / math.sqrt(2.0 * math.pi)
-
-
-def _t_pdf(df, z):
-    z = np.asarray(z, float)
-    c = _sp.gammaln((df + 1.0) / 2.0) - _sp.gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
-    return np.exp(c - 0.5 * (df + 1.0) * np.log1p(z * z / df))
-
-
-def _chi2_pdf(df, x):
-    x = np.asarray(x, float)
-    a = df / 2.0
-    with np.errstate(all="ignore"):
-        out = np.exp((a - 1.0) * np.log(x) - x / 2.0 - a * math.log(2.0) - _sp.gammaln(a))
-    return np.where(x > 0.0, out, 0.0)
-
-
 def normal_mean_cd(data: DataSample, sigma: float | None = None) -> ConfidenceDistribution:
     """CD for a normal mean: exact normal pivot when sigma is known, exact
     t pivot on n-1 degrees of freedom when it is not."""
     if sigma is not None:
         if not (sigma > 0.0 and math.isfinite(sigma)):
             raise ParameterDomainError("sigma must be a positive real (or None for unknown)")
-        scale = sigma / math.sqrt(data.n)
-        return location_scale_cd(
-            pk.Normal(), data.mean, scale,
-            density_fn=lambda x: _normal_pdf((np.asarray(x, float) - data.mean) / scale) / scale,
-        )
+        return location_scale_cd(pk.Normal(), data.mean, sigma / math.sqrt(data.n))
     if data.sd <= 0.0:
         raise DegenerateSampleError("constant sample: the t pivot needs a positive sd")
-    df = data.n - 1
-    scale = data.sd / math.sqrt(data.n)
-    return location_scale_cd(
-        pk.StudentT(df), data.mean, scale,
-        density_fn=lambda x: _t_pdf(df, (np.asarray(x, float) - data.mean) / scale) / scale,
-    )
+    return location_scale_cd(pk.StudentT(data.n - 1), data.mean, data.sd / math.sqrt(data.n))
 
 
 def normal_variance_cd(data: DataSample) -> ConfidenceDistribution:
@@ -242,25 +216,7 @@ def normal_variance_cd(data: DataSample) -> ConfidenceDistribution:
     if data.sd <= 0.0:
         raise DegenerateSampleError("constant sample: the variance pivot degenerates")
     df = float(data.n - 1)
-    c = df * data.sd ** 2
-    chi2 = pk.ChiSquare(df)
-
-    def cdf_fn(x):
-        xa = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = _sp.chdtrc(df, c / np.maximum(xa, 1e-300))
-        return np.where(xa > 0.0, out, 0.0)
-
-    return analytic_cd(
-        cdf_fn,
-        (0.0, math.inf),
-        quantile_fn=lambda s: c / _sp.chdtri(df, np.asarray(s, dtype=float)),
-        density_fn=lambda x: _chi2_pdf(df, c / np.maximum(np.asarray(x, float), 1e-300))
-        * c / np.maximum(np.asarray(x, float), 1e-300) ** 2,
-        log_cdf_fn=lambda x: pk.log_tail(chi2, c / max(float(x), 1e-300), "upper"),
-        log_sf_fn=lambda x: pk.log_tail(chi2, c / max(float(x), 1e-300), "lower"),
-        meta={"df": df, "scale_ssq": c},
-    )
+    return family_cd(FamilySpec("inverse-chi2-scale", {"df": df, "scale_ssq": df * data.sd ** 2}))
 
 
 def fisher_z_corr_cd(pairs: PairedSample) -> ConfidenceDistribution:
@@ -269,43 +225,15 @@ def fisher_z_corr_cd(pairs: PairedSample) -> ConfidenceDistribution:
     r = pairs.correlation
     if abs(r) >= 1.0:
         raise DegenerateSampleError("|r| = 1: the z pivot degenerates")
-    if pairs.n < 4:
-        raise InsufficientDataError("need n >= 4 for the z pivot")
-    k = math.sqrt(pairs.n - 3.0)
-    zr = math.atanh(r)
-
-    def z(x):
-        return np.arctanh(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
-
-    return analytic_cd(
-        lambda x: _sp.ndtr(k * (z(x) - zr)),
-        (-1.0, 1.0),
-        quantile_fn=lambda s: np.tanh(zr + _sp.ndtri(np.asarray(s, dtype=float)) / k),
-        density_fn=lambda x: _normal_pdf(k * (z(x) - zr)) * k
-        / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300),
-        log_cdf_fn=lambda x: float(_sp.log_ndtr(k * (math.atanh(float(x)) - zr))),
-        log_sf_fn=lambda x: float(_sp.log_ndtr(-k * (math.atanh(float(x)) - zr))),
-        meta={"r": r, "n": pairs.n},
-    )
+    # PairedSample holds n >= 4 pairs
+    return family_cd(FamilySpec("fisher-z", {"r": r, "n": pairs.n}))
 
 
 def exponential_rate_cd(data: DataSample) -> ConfidenceDistribution:
     """CD for an exponential rate via the exact pivot 2 theta sum(x) ~ chi2_{2n}."""
     if np.any(data.values <= 0.0):
         raise ParameterDomainError("exponential observations must be positive")
-    total = float(np.sum(data.values))
-    df = 2.0 * data.n
-    chi2 = pk.ChiSquare(df)
-    return _base_mapped_cd(
-        chi2,
-        lambda q: q / (2.0 * total),
-        lambda x: pk.cdf(chi2, 2.0 * total * np.maximum(np.asarray(x, float), 0.0)),
-        (0.0, math.inf),
-        density_fn=lambda x: _chi2_pdf(df, 2.0 * total * np.asarray(x, float)) * 2.0 * total,
-        log_cdf_fn=lambda x: pk.log_tail(chi2, 2.0 * total * float(x), "lower"),
-        log_sf_fn=lambda x: pk.log_tail(chi2, 2.0 * total * float(x), "upper"),
-        meta={"sum": total, "n": data.n},
-    )
+    return family_cd(FamilySpec("chi2-rate", {"n": data.n, "total": float(np.sum(data.values))}))
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,31 @@ def _tukey_1d(sorted_vals: np.ndarray, x) -> np.ndarray:
     return np.minimum(below, above)
 
 
+def _depth_reader(spec: DepthSpec, arr: np.ndarray):
+    """(depth_of, cloud_depths): a query point's depth, and a thunk for every
+    cloud point's, both off the cloud parts computed once here."""
+    if spec.kind == "mahalanobis":
+        center, factor = _scatter_factor(arr)
+        return (lambda pt: float(_mahalanobis_depth((pt - center)[None, :], factor)[0]),
+                lambda: _mahalanobis_depth(arr - center, factor))
+    if arr.shape[1] == 1:
+        srt = np.sort(arr[:, 0])
+        return lambda pt: float(_tukey_1d(srt, pt[0])), lambda: _tukey_1d(srt, arr[:, 0])
+    if arr.shape[1] != 2:
+        raise ParameterDomainError("tukey depth is implemented for k <= 2 only")
+    u = _direction_matrix(spec.directions)
+    proj = np.ascontiguousarray((arr @ u.T).T)  # one contiguous row per direction
+    m = arr.shape[0]
+
+    def cloud_depths():
+        counts = np.empty(proj.shape, dtype=np.intp)
+        for j, row_sorted in enumerate(np.sort(proj, axis=1)):
+            # how many points project >= each point
+            counts[j] = m - np.searchsorted(row_sorted, proj[j], side="left")
+        return np.min(counts, axis=0) / m
+    return lambda pt: int(np.sum(proj >= (u @ pt)[:, None], axis=1).min()) / m, cloud_depths
+
+
 def depth(spec: DepthSpec, cloud, x) -> float:
     """Depth of one point relative to a cloud.
 
@@ -186,16 +211,7 @@ def depth(spec: DepthSpec, cloud, x) -> float:
     """
     arr = _as_cloud(cloud)
     pt = _as_point(x, arr.shape[1])
-    if spec.kind == "mahalanobis":
-        center, factor = _scatter_factor(arr)
-        return float(_mahalanobis_depth((pt - center)[None, :], factor)[0])
-    if arr.shape[1] == 1:
-        return float(_tukey_1d(np.sort(arr[:, 0]), pt[0]))
-    if arr.shape[1] != 2:
-        raise ParameterDomainError("tukey depth is implemented for k <= 2 only")
-    u = _direction_matrix(spec.directions)
-    fractions = np.mean(arr @ u.T >= pt @ u.T, axis=0)
-    return float(np.min(fractions))
+    return _depth_reader(spec, arr)[0](pt)
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +234,8 @@ class CentralityFn:
 
 def centrality_fn(spec: DepthSpec, cloud) -> CentralityFn:
     arr = _as_cloud(cloud)
-    k = arr.shape[1]
-    if spec.kind == "mahalanobis":
-        center, factor = _scatter_factor(arr)
-        depths = _mahalanobis_depth(arr - center, factor)
-        depth_of = lambda pt: float(
-            _mahalanobis_depth((pt - center)[None, :], factor)[0])
-    elif k == 1:
-        srt = np.sort(arr[:, 0])
-        depths = _tukey_1d(srt, arr[:, 0])
-        depth_of = lambda pt: float(_tukey_1d(srt, pt[0]))
-    elif k == 2:
-        u = _direction_matrix(spec.directions)
-        proj = np.ascontiguousarray((arr @ u.T).T)  # one contiguous row per direction
-        m = arr.shape[0]
-        counts = np.empty(proj.shape, dtype=np.intp)
-        for j, row_sorted in enumerate(np.sort(proj, axis=1)):
-            # how many points project >= each point
-            counts[j] = m - np.searchsorted(row_sorted, proj[j], side="left")
-        depths = np.min(counts, axis=0) / m
-        depth_of = lambda pt: int(np.sum(proj >= (u @ pt)[:, None], axis=1).min()) / m
-    else:
-        raise ParameterDomainError("tukey centrality is implemented for k <= 2 only")
-    return CentralityFn(spec=spec, cloud=arr, depth_table=np.sort(depths),
+    depth_of, cloud_depths = _depth_reader(spec, arr)
+    return CentralityFn(spec=spec, cloud=arr, depth_table=np.sort(cloud_depths()),
                         depth_of=depth_of)
 
 

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from cdkit.cd_core import (
+    _FAMILIES,
     CdRandomVariable,
-    _base_map_of,
+    FamilySpec,
     analytic_cd,
     cd_density,
     cd_eval,
     cd_log_lower,
     cd_log_upper,
     cd_quantile,
-    cd_sample,
     central_interval,
     grid_cd,
     load_cd_csv,
@@ -177,7 +177,7 @@ def test_density_refuses_sample_repr():
 def test_cd_sample_reproducible_and_dkw():
     cd = _normal_cd()
     rv = CdRandomVariable(cd, RngStream(11, 0))
-    x = cd_sample(rv, 100_000)
+    x = rv.sample(100_000)
     x2 = CdRandomVariable(cd, RngStream(11, 0)).sample(100_000)
     assert np.array_equal(x, x2)
     xs = np.sort(x)
@@ -230,16 +230,16 @@ def test_transform_without_inverse_root_finds():
 
 
 def test_only_location_scale_cd_records_its_structure():
-    # quantile readers share base quantiles only for CDs a base-mapped factory built
+    # quantile readers share base quantiles only for CDs family_cd built
     cd = location_scale_cd(Normal(), 0.2, 0.5, meta={"source": "test"})
-    base, to_cd = _base_map_of(cd)
-    assert base == Normal() and to_cd(1.0) == 0.2 + 0.5 * 1.0
+    assert cd.family == FamilySpec("location-scale", {"loc": 0.2, "scale": 0.5, "df": None})
+    assert _FAMILIES["location-scale"].from_base(1.0, **cd.family.params) == 0.2 + 0.5 * 1.0
     out = transform_cd(cd, math.exp, "increasing", g_inverse=math.log)
-    assert _base_map_of(out) is None
+    assert out.family is None
     copied = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
-    assert _base_map_of(copied) is None
-    assert _base_map_of(dataclasses.replace(cd, meta={})) is None
-    assert _base_map_of(analytic_cd(cd.cdf_fn, meta={"base": Normal()})) is None
+    assert copied.family is None
+    assert dataclasses.replace(cd, meta={}).family is None
+    assert analytic_cd(cd.cdf_fn, meta={"base": Normal()}).family is None
 
 
 def test_transform_rejects_nonmonotone():

@@ -8,8 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from cdkit.cd_core import load_cd_csv
+from cdkit.cd_core import cd_quantile, load_cd_csv
 from cdkit.cli import run
+from cdkit.constructors import (
+    DataSample,
+    PairedSample,
+    exponential_rate_cd,
+    fisher_z_corr_cd,
+    normal_mean_cd,
+    normal_variance_cd,
+)
+from cdkit.inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from cdkit.multivariate import DepthSpec, MultiCD, depth, save_cloud_csv
 from cdkit.simlab import CdGenerator
 
@@ -54,6 +63,7 @@ class TestConstruct:
         assert lo < 1.0 < hi
         assert body["config"]["sigma"] == "known=1"
         with open(out, newline="") as fh:
+            assert fh.readline().startswith("# cdkit-family {")
             assert next(csv.reader(fh)) == ["theta", "H"]
 
     def test_headerless_data_and_unknown_sigma(self, capsys, tmp_path):
@@ -110,6 +120,92 @@ class TestEstimateAndTest:
         code, _, err = _run(capsys, ["test", "--cd", out, "--region", "{oops"])
         assert code == 2
         assert "config error:" in err
+
+
+def _dataset(tmp_path, model, sigma, seed=3):
+    """A data file for the model, and the CD construct builds from it in memory."""
+    rng = np.random.default_rng(seed)
+    if model == "correlation":
+        z = rng.normal(size=(40, 2))
+        rows = np.column_stack([z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]])
+        cd = fisher_z_corr_cd(PairedSample(rows))
+    else:
+        rows = (rng.exponential(0.7, size=25) if model == "exponential-rate"
+                else rng.normal(1.2, 0.9, size=25))[:, None]
+        sample = DataSample(rows[:, 0])
+        cd = {"normal-mean": lambda: normal_mean_cd(
+                  sample, sigma=None if sigma == "unknown" else float(sigma[6:])),
+              "normal-variance": lambda: normal_variance_cd(sample),
+              "exponential-rate": lambda: exponential_rate_cd(sample)}[model]()
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(rows.shape[1])])
+        writer.writerows([[f"{v:.17g}" for v in row] for row in rows])
+    return str(path), cd
+
+
+_MODELS = [("normal-mean", "known=0.9"), ("normal-mean", "unknown"),
+           ("normal-variance", "unknown"), ("correlation", "unknown"),
+           ("exponential-rate", "unknown")]
+
+
+class TestFamilyFiles:
+    @pytest.mark.parametrize("model,sigma", _MODELS)
+    def test_every_command_reads_the_in_memory_cd(self, capsys, tmp_path, model, sigma):
+        data, cd = _dataset(tmp_path, model, sigma)
+        out = str(tmp_path / "cd.csv")
+        code, stdout, _ = _run(capsys, ["construct", "--model", model, "--sigma", sigma,
+                                        "--data", data, "--out", out])
+        assert code == 0
+        want = {"median": cd_median(cd), "mean": cd_mean(cd), "mode": cd_mode(cd)}
+        assert json.loads(stdout)["estimates"] == want
+        code, stdout, _ = _run(capsys, ["estimate", "--cd", out])
+        assert code == 0 and json.loads(stdout)["estimates"] == want
+        lo, mid, hi = (float(q) for q in cd_quantile(cd, np.array([1e-5, 0.4, 0.9])))
+        for region in (json.dumps({"intervals": [[None, lo], [hi, None]]}),
+                       json.dumps({"intervals": [[lo, mid]]}),
+                       json.dumps({"points": [mid, hi]})):
+            code, stdout, _ = _run(capsys, ["test", "--cd", out, "--region", region])
+            assert code == 0
+            got = json.loads(stdout)["report"]
+            want_report = support_report(cd, NullRegion.from_json(region))
+            assert (got["p_s"], got["p_w"]) == (want_report.p_s, want_report.p_w)
+
+    def test_known_sigma_deep_tail_survives_the_file(self, capsys, tmp_path):
+        z = np.random.default_rng(20).normal(size=20)
+        path = tmp_path / "x.csv"
+        path.write_text("x\n" + "".join(f"{v:.17g}\n" for v in 0.8676 + z - z.mean()))
+        cd = normal_mean_cd(DataSample(np.loadtxt(path, skiprows=1)), sigma=1.0)
+        out = str(tmp_path / "cd.csv")
+        assert _run(capsys, ["construct", "--model", "normal-mean", "--sigma", "known=1",
+                             "--data", str(path), "--out", out])[0] == 0
+        region = '{"intervals": [[null, 0.0]]}'
+        code, stdout, _ = _run(capsys, ["test", "--cd", out, "--region", region])
+        p_s = json.loads(stdout)["report"]["p_s"]
+        assert p_s == support_report(cd, NullRegion.from_json(region)).p_s
+        assert p_s == pytest.approx(5.22e-5, rel=1e-2)
+        back = load_cd_csv(out)
+        assert cd_quantile(back, 1e-6) == cd_quantile(cd, 1e-6) < 0.0
+        assert cd_mode(back) == cd_mode(cd)
+
+    @pytest.mark.parametrize("header", [
+        '{"family": "gamma-shape", "shape": 2.0}',
+        '{"family": "fisher-z", "r": 0.5}',
+        '{"family": "fisher-z", "r": 0.5, "n": 10.0, "df": 3.0}',
+        '{"family": "chi2-rate", "n": 5.0, "total": NaN}',
+        '{"family": "location-scale", "loc": 0.0, "scale": -2.0, "df": null}',
+        '{"family": "inverse-chi2-scale", "df": 0.0, "scale_ssq": 1.0}',
+        '{"family": "fisher-z", "r": -1.0, "n": 10.0}',
+    ])
+    def test_malformed_header_exits_two(self, capsys, tmp_path, header):
+        path = tmp_path / "bad-header.csv"
+        path.write_text(f"# cdkit-family {header}\ntheta,H\n0,0\n1,1\n")
+        for argv in (["estimate", "--cd", str(path)],
+                     ["test", "--cd", str(path), "--region", '{"points": [0.5]}']):
+            code, stdout, err = _run(capsys, argv)
+            assert code == 2 and stdout == ""
+            assert err.startswith("config error:") and "bad-header.csv" in err
 
 
 class TestCalibrate:

@@ -1,6 +1,7 @@
 """Dispersion, risk, slope, and dominance comparisons between CDs."""
 
 import csv
+import functools
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 import cdkit.compare as compare_module
 import cdkit.probkernel as pk
 from cdkit.cd_core import (
-    _base_map_of,
+    _FAMILIES,
     analytic_cd,
     cd_quantile,
     location_scale_cd,
@@ -149,8 +150,8 @@ class TestDispersionFastPath:
         cd = location_scale_cd(base, 0.37, 0.81)
         # the same CD, meta included, without the factory's structure
         generic = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
-        assert _base_map_of(cd)[0] == base
-        assert _base_map_of(generic) is None
+        assert _FAMILIES["location-scale"].base(**cd.family.params) == base
+        assert generic.family is None
         # cached base quantiles, then loc + scale * q: the bytes of quantile_fn
         assert sample_dispersion(cd, loss, 0.1) == sample_dispersion(generic, loss, 0.1)
 
@@ -160,8 +161,8 @@ class TestDispersionFastPath:
         cd = _exponential_cd(n)
         generic = analytic_cd(cd.cdf_fn, cd.support, quantile_fn=cd.quantile_fn,
                               meta=cd.meta)
-        assert _base_map_of(cd)[0] == pk.ChiSquare(2.0 * n)
-        assert _base_map_of(generic) is None
+        assert _FAMILIES["chi2-rate"].base(**cd.family.params) == pk.ChiSquare(2.0 * n)
+        assert generic.family is None
         # cached chi-square quantiles, then q / (2 sum x): the bytes of quantile_fn
         assert sample_dispersion(cd, loss, 2.0) == sample_dispersion(generic, loss, 2.0)
 
@@ -174,7 +175,9 @@ class TestDispersionFastPath:
 
     @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)
     def test_quantile_is_the_map_of_base_quantiles(self, cd):
-        base, to_cd = _base_map_of(cd)
+        row, params = _FAMILIES[cd.family.name], cd.family.params
+        base = row.base(**params)
+        to_cd = functools.partial(row.from_base, **params)
         s = np.random.default_rng(2024).uniform(1e-12, 1.0 - 1e-12, 4000)
         assert np.array_equal(to_cd(pk.quantile(base, s)), cd_quantile(cd, s))
         for si in s[:50]:

@@ -287,6 +287,14 @@ class TestCentrality:
         cloud2 = np.random.default_rng(17).normal(size=(3000, 2))
         cf2 = centrality_fn(DepthSpec("tukey"), cloud2)
         assert cf2.depth_of(probe) == depth(DepthSpec("tukey"), cloud2, probe)
+        # depth() is centrality_fn's reader: equal bit for bit in every kind
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            for kind, k in (("mahalanobis", 2), ("tukey", 2), ("tukey", 1)):
+                cloud = rng.normal(size=(1000, k))
+                cf = centrality_fn(DepthSpec(kind), cloud)
+                for pt in rng.normal(scale=1.5, size=(5, k)):
+                    assert depth(DepthSpec(kind), cloud, pt) == cf.depth_of(pt)
 
     def test_tukey_table_equals_per_direction_search(self):
         # a half-unit lattice with 400 points doubled: ties in every direction
