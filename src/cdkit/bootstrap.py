@@ -14,13 +14,15 @@ se, are excluded and counted; fewer than 100 survivors is an error.  The
 original sample is evaluated as a one-row block and must give a finite theta
 and, when present, a finite positive se.
 
-Conventions.  The raw CD is the right-continuous ECDF of the resampled
-statistics; the reflected CD pivots each atom through the original estimate
-(atom 2*theta_hat - theta_r), which makes H(x) the resampling probability of
-{theta_r >= 2*theta_hat - x} exactly.  The studentized CD is the
-left-continuous ECDF of theta_hat - se_hat * z_r for studentized residuals
-z_r, matching the usual studentized interval endpoints.  The skew-corrected
-variant inverts a cubic-adjusted mean pivot through the resampling law.
+Conventions.  Every variant returns a sample CD: a right-continuous step
+CDF on B equal-weight atoms, whose s-quantile is the ceil(B s)-th smallest
+atom (``cd_core`` states the rule once).  The raw CD's atoms are the
+resampled statistics; the reflected CD pivots each through the original
+estimate (atom 2*theta_hat - theta_r), which makes H(x) the resampling
+probability of {theta_r >= 2*theta_hat - x} exactly.  The studentized CD's
+atoms are theta_hat - se_hat * z_r for studentized residuals z_r, and the
+skew-corrected CD's are the original-sample cubic mean pivot inverted at
+each resample's pivot.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import probkernel as pk
-from .cd_core import ConfidenceDistribution, analytic_cd, sample_cd
-from .constructors import DataSample, hall_pivot, hall_pivot_inverse
+from .cd_core import ConfidenceDistribution, sample_cd
+from .constructors import DataSample, hall_pivot_inverse
 from .errors import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -182,36 +184,24 @@ def reflected_bootstrap_cd(rep: ReplicateSet) -> ConfidenceDistribution:
 def bootstrap_t_cd(rep: ReplicateSet) -> ConfidenceDistribution:
     """Studentized bootstrap CD.
 
-    With z_r = (theta_r - theta_hat) / se_r and atoms a_r = theta_hat -
-    se_hat * z_r, H(x) is the fraction of atoms strictly below x (the
-    left-continuous ECDF), and the s-quantile is the ceil(B s)-th smallest
-    atom.  Both match inverting the studentized pivot's resampling law.
+    With z_r = (theta_r - theta_hat) / se_r, the CD is the sample CD of the
+    atoms theta_hat - se_hat * z_r, so its s-quantile is the ceil(B s)-th
+    smallest atom: the studentized pivot's resampling law, inverted.
     """
     if rep.se is None or rep.se_hat is None:
         raise ParameterDomainError("studentized bootstrap needs per-resample standard errors")
     z = (rep.theta - rep.theta_hat) / rep.se
-    asc = np.sort(rep.theta_hat - rep.se_hat * z)
-    b = asc.size
-
-    def cdf(x):
-        return np.searchsorted(asc, np.asarray(x, float), side="left") / b
-
-    def quantile(s):
-        s = np.asarray(s, dtype=float)
-        m = np.clip(np.ceil(s * b - 1e-12).astype(int), 1, b)
-        return asc[m - 1]
-
-    return analytic_cd(cdf, (-math.inf, math.inf), quantile_fn=quantile,
-                       meta=_meta(rep, "bootstrap-t"))
+    return sample_cd(rep.theta_hat - rep.se_hat * z, meta=_meta(rep, "bootstrap-t"))
 
 
 def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistribution:
     """Mean CD from the cubic skew-corrected pivot, calibrated by resampling.
 
     Each resample contributes the pivot evaluated with its own mean, sd, and
-    skewness but centered at the original mean.  H(x) is one minus the ECDF
-    of those pivots at the original-sample pivot psi(data, x); the cubic's
-    closed-form inverse turns pivot quantiles back into x.
+    skewness but centered at the original mean.  The CD is the sample CD of
+    the x at which the original-sample pivot psi(data, x) equals each of
+    those pivots, found by the cubic's closed-form inverse; psi decreases in
+    x, so H(x) is the fraction of resample pivots at least psi(data, x).
     """
     if data.n < 20:
         raise InsufficientDataError("skew-corrected bootstrap needs n >= 20")
@@ -228,21 +218,9 @@ def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistrib
         return piv, None
 
     rep = resample_block(data, plan, pivots)
-    piv = np.sort(rep.theta)
-    b = piv.size
-    meta = {"variant": "hall", "n_resamples": b, "excluded": rep.excluded,
+    meta = {"variant": "hall", "n_resamples": rep.kept, "excluded": rep.excluded,
             "theta_hat": center, "skewness": data.skewness}
-
-    def cdf(x):
-        g = np.asarray(hall_pivot(data, x), dtype=float)
-        return 1.0 - np.searchsorted(piv, g, side="right") / b
-
-    def quantile(s):
-        s = np.asarray(s, dtype=float)
-        m = np.clip(np.floor((1.0 - s) * b + 1e-12).astype(int), 0, b - 1)
-        return hall_pivot_inverse(data, piv[m])
-
-    return analytic_cd(cdf, (-math.inf, math.inf), quantile_fn=quantile, meta=meta)
+    return sample_cd(hall_pivot_inverse(data, rep.theta), meta=meta)
 
 
 def dump_replicates(rep: ReplicateSet, path) -> None:

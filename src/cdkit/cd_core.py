@@ -6,10 +6,13 @@ space.  Three representations cover the toolkit:
 * ``analytic``: closed-form CDF callable, optionally with exact quantile,
   density, and log-tail companions;
 * ``grid``: piecewise-linear CDF on strictly increasing knots;
-* ``sample``: weighted atoms, evaluated as a right-continuous step CDF.
+* ``sample``: weighted atoms, evaluated as a right-continuous step CDF;
+  every bootstrap CD is one.
 
 All evaluators accept scalars or arrays.  Quantiles use the generalized
-inverse inf{x : H(x) >= s} throughout.
+inverse inf{x : H(x) >= s} throughout; a sample CD's stops at the first atom
+whose H reaches s - 1e-12, so a probability one rounding off a multiple of
+1/n (1 - 0.95 is not 0.05) still lands on its atom.
 
 The named exact CDs are family CDs.  A small frozen ``FamilySpec`` names a
 row of one table (location-scale over Normal or Student-t, inverse
@@ -75,7 +78,7 @@ class ConfidenceDistribution:
     log_cdf_fn: Optional[Callable] = None
     log_sf_fn: Optional[Callable] = None
     theta: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None  # H at the grid knots or at the sample atoms
     atoms: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
@@ -293,7 +296,11 @@ def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:
 
 
 def sample_cd(atoms, weights=None, *, meta=None) -> ConfidenceDistribution:
-    """Step CDF on weighted atoms (equal weights when omitted)."""
+    """Step CDF on weighted atoms (equal weights when omitted).
+
+    ``values`` holds H at the sorted atoms: k/n exactly when the weights are
+    equal, passed in or not, else the running sums scaled to end at 1.
+    """
     at = np.asarray(atoms, dtype=float)
     if at.ndim != 1 or at.size < 1 or not np.all(np.isfinite(at)):
         raise ParameterDomainError("sample CD needs a 1-D array of finite atoms")
@@ -311,9 +318,14 @@ def sample_cd(atoms, weights=None, *, meta=None) -> ConfidenceDistribution:
     order = np.argsort(at, kind="stable")
     at = at[order]
     wt = wt[order]
-    at.setflags(write=False)
-    wt.setflags(write=False)
-    return ConfidenceDistribution(kind="sample", support=(at[0], at[-1]),
+    if weights is None or np.all(wt == wt[0]):
+        cum = np.arange(1, at.size + 1, dtype=float) / at.size
+    else:
+        cum = np.cumsum(wt)
+        cum /= cum[-1]
+    for arr in (at, wt, cum):
+        arr.setflags(write=False)
+    return ConfidenceDistribution(kind="sample", support=(at[0], at[-1]), values=cum,
                                   atoms=at, weights=wt, meta=dict(meta or {}))
 
 
@@ -343,9 +355,8 @@ def cd_eval(cd: ConfidenceDistribution, x):
     elif cd.kind == "grid":
         out = np.interp(arr, cd.theta, cd.values)
     elif cd.kind == "sample":
-        cum = np.concatenate(([0.0], np.cumsum(cd.weights)))
-        out = cum[np.searchsorted(cd.atoms, arr, side="right")]
-        out = np.minimum(out, 1.0)
+        idx = np.searchsorted(cd.atoms, arr, side="right")
+        out = np.where(idx > 0, cd.values[idx - 1], 0.0)
     else:
         raise UnsupportedRepresentationError(f"unknown CD kind {cd.kind!r}")
     return _shape_out(out, scalar)
@@ -367,13 +378,13 @@ def _grid_quantile(cd, s):
 
 
 def _sample_quantile(cd, s):
-    cum = np.cumsum(cd.weights)
-    idx = np.searchsorted(cum, s, side="left")
-    return cd.atoms[np.minimum(idx, cd.atoms.size - 1)]
+    # H ends at exactly 1 > s - 1e-12, so the index stays inside the atoms
+    return cd.atoms[np.searchsorted(cd.values, s - 1e-12, side="left")]
 
 
 def cd_quantile(cd: ConfidenceDistribution, s):
-    """Generalized inverse inf{x : H(x) >= s} for s strictly inside (0, 1)."""
+    """Generalized inverse inf{x : H(x) >= s} for s strictly inside (0, 1);
+    a sample CD's is inf{x : H(x) >= s - 1e-12}."""
     arr, scalar = _shape_in(s)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("cd_quantile needs probabilities strictly in (0, 1)")

@@ -151,7 +151,7 @@ def quantile(d: DistKind, p) -> float | np.ndarray:
     elif isinstance(d, StudentT):
         out = _sp.stdtrit(d.df, arr)
     elif isinstance(d, ChiSquare):
-        out = _sp.chdtri(d.df, 1.0 - arr)
+        out = 2.0 * _sp.gammaincinv(d.df / 2.0, arr)  # not chdtri(df, 1 - p): 1 - p rounds
     elif isinstance(d, Uniform01):
         out = arr.copy()
     else:

@@ -20,7 +20,14 @@ from cdkit.bootstrap import (
     resample,
     resample_block,
 )
-from cdkit.cd_core import cd_eval, cd_quantile, central_interval
+from cdkit.cd_core import (
+    _interval_probs,
+    cd_eval,
+    cd_quantile,
+    central_interval,
+    load_cd_csv,
+    save_cd_csv,
+)
 from cdkit.constructors import DataSample, hall_pivot, hall_pivot_inverse
 from cdkit.errors import (
     InsufficientDataError,
@@ -169,14 +176,16 @@ class TestStudentized:
         with pytest.raises(ParameterDomainError):
             bootstrap_t_cd(rep)
 
-    def test_toy_cdf_is_left_continuous_step(self):
+    def test_toy_cdf_is_right_continuous_step(self):
         # z = (-1, 0, 0.5) so the atoms theta_hat - se_hat * z are
-        # (3.0, 2.5, 2.25); H counts atoms strictly below x
+        # (3.0, 2.5, 2.25); H counts atoms at or below x
         cd = bootstrap_t_cd(self._toy())
-        assert cd_eval(cd, 2.25) == 0.0
-        assert cd_eval(cd, 2.4) == pytest.approx(1.0 / 3.0)
-        assert cd_eval(cd, 2.5) == pytest.approx(1.0 / 3.0)
-        assert cd_eval(cd, 2.6) == pytest.approx(2.0 / 3.0)
+        assert cd.kind == "sample"
+        assert cd_eval(cd, 2.2) == 0.0
+        assert cd_eval(cd, 2.25) == 1.0 / 3.0
+        assert cd_eval(cd, 2.4) == 1.0 / 3.0
+        assert cd_eval(cd, 2.5) == 2.0 / 3.0
+        assert cd_eval(cd, 2.6) == 2.0 / 3.0
         assert cd_eval(cd, 3.1) == 1.0
 
     def test_toy_quantiles_hit_atoms(self):
@@ -271,3 +280,83 @@ class TestSkewCorrected:
         cd = hall_bootstrap_cd(data, ResamplePlan(300, RngStream(58)))
         assert cd.meta["excluded"] > 0
         assert cd.meta["n_resamples"] == 300 - cd.meta["excluded"]
+
+
+# ---------------------------------------------------------------------------
+# bootstrap-t and Hall against the step closures they replaced
+
+def _old_bootstrap_t(rep):
+    """The left-continuous H and ceil(B s)-th atom Q bootstrap_t_cd once returned."""
+    z = (rep.theta - rep.theta_hat) / rep.se
+    asc = np.sort(rep.theta_hat - rep.se_hat * z)
+    b = asc.size
+
+    def quantile(s):
+        return asc[np.clip(np.ceil(s * b - 1e-12).astype(int), 1, b) - 1]
+
+    return (lambda x: np.searchsorted(asc, x, side="left") / b), quantile
+
+
+def _old_hall(data, pivots):
+    """The H and Q hall_bootstrap_cd once returned, on the resample pivots."""
+    piv = np.sort(pivots)
+    b = piv.size
+
+    def quantile(s):
+        m = np.clip(np.floor((1.0 - s) * b + 1e-12).astype(int), 0, b - 1)
+        return hall_pivot_inverse(data, piv[m])
+
+    return (lambda x: 1.0 - np.searchsorted(piv, hall_pivot(data, x), side="right") / b), quantile
+
+
+# calibrate's probabilities: every interval's ends, then the median
+_PROBS = np.array([p for lv in (0.5, 0.9, 0.95, 0.99) for p in _interval_probs(lv)] + [0.5])
+
+
+def _datasets():
+    for seed in range(1, 11):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            values = rng.normal(0.0, 1.0, 100) if seed % 2 else rng.gamma(2.0, 1.5, 100)
+            plan = ResamplePlan(200, RngStream(seed, rng.integers(2 ** 31)))
+            yield DataSample(values), plan, rng.normal(values.mean(), 0.2, 9)
+
+
+class TestStepClosuresBecameSampleCds:
+    def test_bootstrap_t_matches_the_old_closures_bit_for_bit(self):
+        for data, plan, xs in _datasets():
+            rep = resample_block(data, plan, mean_se_block)
+            cd = bootstrap_t_cd(rep)
+            cdf, quantile = _old_bootstrap_t(rep)
+            assert cd.kind == "sample"
+            assert _same_bits(cd_quantile(cd, _PROBS), quantile(_PROBS))
+            assert _same_bits(cd_eval(cd, xs), cdf(xs))
+
+    def test_hall_matches_the_old_closures(self, monkeypatch):
+        reps = []
+
+        def keep(data, plan, block_statistic):
+            reps.append(resample_block(data, plan, block_statistic))
+            return reps[-1]
+
+        monkeypatch.setattr(bootstrap_module, "resample_block", keep)
+        for data, plan, xs in _datasets():
+            cd = hall_bootstrap_cd(data, plan)
+            cdf, quantile = _old_hall(data, reps[-1].theta)
+            assert cd.kind == "sample"
+            assert _same_bits(cd_quantile(cd, _PROBS), quantile(_PROBS))
+            # the old H was 1 - j/B, the new (B - j)/B: they agree to an ulp of 1
+            assert np.all(np.abs(cd_eval(cd, xs) - cdf(xs)) <= np.finfo(float).eps)
+
+    def test_bootstrap_t_and_hall_reload_as_the_same_sample_cd(self, skewed_data, tmp_path):
+        plan = ResamplePlan(300, RngStream(60))
+        for cd in (bootstrap_t_cd(resample_block(skewed_data, plan, mean_se_block)),
+                   hall_bootstrap_cd(skewed_data, plan)):
+            save_cd_csv(cd, tmp_path / "cd.csv")
+            back = load_cd_csv(tmp_path / "cd.csv")
+            assert back.kind == cd.kind == "sample"
+            for field in ("atoms", "weights", "values"):
+                assert _same_bits(getattr(back, field), getattr(cd, field))
+            xs = np.linspace(cd.support[0] - 0.1, cd.support[1] + 0.1, 41)
+            assert _same_bits(cd_eval(back, xs), cd_eval(cd, xs))
+            assert _same_bits(cd_quantile(back, _PROBS), cd_quantile(cd, _PROBS))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,31 @@ def test_sample_weight_validation():
         sample_cd([1.0, 2.0], [-0.2, 1.2])
 
 
+def test_sample_h_at_atoms_is_k_over_n_and_ends_at_one():
+    atoms = np.random.default_rng(3).normal(size=301)
+    want = np.arange(1, 302) / 301
+    for cd in (sample_cd(atoms), sample_cd(atoms, np.full(301, 1.0 / 301))):
+        assert np.array_equal(cd.values, want)
+        assert np.array_equal(cd_eval(cd, cd.atoms), want)
+    w = np.random.default_rng(4).uniform(size=301)
+    cd = sample_cd(atoms, w / w.sum())
+    assert cd.values[-1] == 1.0 and np.all(np.diff(cd.values) >= 0.0)
+    assert np.array_equal(cd_eval(cd, cd.atoms), cd.values)
+
+
+@pytest.mark.parametrize("b", [100, 200, 1000])
+@pytest.mark.parametrize("level", ["0.5", "0.9", "0.95", "0.99"])
+def test_sample_interval_ends_are_the_nominal_atoms(b, level):
+    # the ceil(B a/2)-th and ceil(B (1 - a/2))-th smallest atoms in exact
+    # arithmetic: 1 - 0.95 rounds above 0.05, which must not move an end
+    atoms = np.random.default_rng(b).normal(size=b)
+    half = (1 - Fraction(level)) / 2
+    lo, hi = central_interval(sample_cd(atoms), float(level))
+    asc = np.sort(atoms)
+    assert lo == asc[math.ceil(b * half) - 1]
+    assert hi == asc[math.ceil(b * (1 - half)) - 1]
+
+
 def test_grid_validation():
     with pytest.raises(ParameterDomainError):
         grid_cd([0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
@@ -208,9 +234,9 @@ def test_transform_quantile_commutes_increasing(cd):
 @pytest.mark.parametrize("cd", _all_kinds())
 def test_transform_quantile_commutes_decreasing(cd):
     out = transform_cd(cd, lambda t: -t, "decreasing", g_inverse=lambda y: -y)
-    # off-lattice s: at exact atom-weight multiples the two generalized
-    # inverses close their steps on opposite sides
-    for s in (0.0521, 0.3113, 0.71, 0.9468):
+    # off-lattice s: at exact atom-weight multiples (0.71 is 284/400) the
+    # two generalized inverses close their steps on opposite sides
+    for s in (0.0521, 0.3113, 0.7113, 0.9468):
         want = -cd_quantile(cd, 1.0 - s)
         assert abs(cd_quantile(out, s) - want) < 1e-8
 

@@ -4,7 +4,10 @@ Every family spec, grid CD and sample CD must satisfy the generalized-inverse
 identities H(Q(s)) >= s and Q(H(x)) <= x, have a nondecreasing H, give
 strong support no larger than weak support, and reload from its file as the
 same CD.  Family CDs meet the inverse identities to rounding (a relative
-1e-9), grid CDs to the rounding of theta, and sample CDs exactly.
+1e-9) and grid CDs to the rounding of theta.  Sample CDs, every bootstrap CD
+among them, meet Q(H(x)) <= x exactly and H(Q(s)) >= s - 1e-12: their
+quantile rule stops at the first atom whose H reaches s - 1e-12, so that a
+probability one rounding off a multiple of 1/n lands on its atom.
 """
 
 from functools import partial
@@ -103,7 +106,7 @@ class TestContract:
         elif cd.kind == "grid":  # Q(s) is rounded to a float in theta
             assert np.all(cd_eval(cd, q + 1e-12 * (1.0 + np.abs(q))) >= s)
         else:
-            assert np.all(cd_eval(cd, q) >= s)
+            assert np.all(cd_eval(cd, q) >= s - 1e-12)
 
     @given(CDS, st.lists(_reals(-0.2, 1.2), min_size=1, max_size=20))
     def test_q_of_h_is_at_most_x(self, cd, fractions):

@@ -130,6 +130,21 @@ def test_quantile_cdf_roundtrip(d):
     assert np.all(np.abs(qs - xs) <= 1e-10 * np.maximum(np.abs(xs), 1.0))
 
 
+@pytest.mark.parametrize("df", [2.0, 7.5, 58.0, 400.0])
+@pytest.mark.parametrize("p", [1e-300, 1e-100, 1e-17, 1e-10, 1e-3, 0.5, 1.0 - 1e-10])
+def test_chi2_quantile_vs_mp_in_the_lower_tail(df, p):
+    # oracle: one Newton step on mpmath's regularized lower incomplete gamma
+    # (dps=60) measures the distance from x to the exact quantile; 1 - p
+    # rounds to 1 for tiny p, so an upper-tail inverse cannot meet this
+    x = quantile(ChiSquare(df), p)
+    assert x > 0.0
+    mp.mp.dps = 60
+    a, xm = mp.mpf(df) / 2, mp.mpf(x)
+    mass = mp.gammainc(a, 0, xm / 2, regularized=True)
+    density = mp.exp((a - 1) * mp.log(xm / 2) - xm / 2 - mp.loggamma(a)) / 2
+    assert abs((mass - p) / density) <= 1e-13 * xm
+
+
 def test_quantile_domain():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ParameterDomainError):

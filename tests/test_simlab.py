@@ -172,6 +172,17 @@ class TestCalibrate:
         assert report.ks_p_value < 1e-6
         assert all(freq == 1.0 for _, freq, _ in report.coverage)
 
+    def test_reflected_bootstrap_at_b_200_covers_within_six_se(self):
+        # n=100, B=200, 100 replicates: the lower interval end is the
+        # ceil(B a/2)-th atom, not one further in, so 0.99 reads 0.95 (0.92
+        # with the extra atom, outside 0.99 - 0.0597)
+        gen = CdGenerator("normal-mean-unknown-sigma", "reflected-bootstrap", 100,
+                          -1.627822471454781, 2044397375, {"B": 200})
+        report = calibrate(gen, 100, levels=(0.5, 0.9, 0.95, 0.99))
+        assert report.failures == 0
+        for level, freq, _ in report.coverage:
+            assert abs(freq - level) <= 6.0 * math.sqrt(level * (1.0 - level) / 100)
+
     def test_coverage_wrapper(self):
         gen = CdGenerator("normal-mean-known-sigma", "point-mass", 20, 0.7, 5)
         table = coverage(gen, (0.9,), 100)
