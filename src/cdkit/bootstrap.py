@@ -27,14 +27,13 @@ each resample's pivot.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import probkernel as pk
-from .cd_core import ConfidenceDistribution, sample_cd
+from .cd_core import ConfidenceDistribution, sample_cd, write_table
 from .constructors import DataSample, hall_pivot_inverse
 from .errors import (
     DegenerateSampleError,
@@ -225,13 +224,8 @@ def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistrib
 
 def dump_replicates(rep: ReplicateSet, path) -> None:
     """Write replicates as CSV: replicate index, theta, and se when present."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if rep.se is None:
-            writer.writerow(["replicate", "theta"])
-            for i, th in enumerate(rep.theta):
-                writer.writerow([i, f"{th:.17g}"])
-        else:
-            writer.writerow(["replicate", "theta", "se"])
-            for i, (th, s) in enumerate(zip(rep.theta, rep.se)):
-                writer.writerow([i, f"{th:.17g}", f"{s:.17g}"])
+    index = range(rep.theta.size)
+    if rep.se is None:
+        write_table(path, ["replicate", "theta"], [index, rep.theta])
+    else:
+        write_table(path, ["replicate", "theta", "se"], [index, rep.theta, rep.se])

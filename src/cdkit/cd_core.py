@@ -5,7 +5,8 @@ space.  Three representations cover the toolkit:
 
 * ``analytic``: closed-form CDF callable, optionally with exact quantile,
   density, and log-tail companions;
-* ``grid``: piecewise-linear CDF on strictly increasing knots;
+* ``grid``: piecewise-linear CDF on strictly increasing knots, with any
+  mass below the first knot value or above the last one on the end knots;
 * ``sample``: weighted atoms, evaluated as a right-continuous step CDF;
   every bootstrap CD is one.
 
@@ -20,6 +21,9 @@ chi-square scale, Fisher z, chi-square rate) and holds its parameters;
 ``family_cd`` binds the row's cdf, quantile, density and log tails to them
 and keeps the spec as ``cd.family``.  A family CD's file carries its spec,
 so it reloads as the same CD.
+
+Every CSV file the toolkit writes or reads goes through ``write_table`` and
+``read_table``: an optional header row over ``%.17g`` cells.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -61,6 +66,8 @@ __all__ = [
     "materialize",
     "save_cd_csv",
     "load_cd_csv",
+    "write_table",
+    "read_table",
 ]
 
 _REAL_LINE = (-math.inf, math.inf)
@@ -274,7 +281,11 @@ def location_scale_cd(base: pk.DistKind, loc: float, scale: float, *,
 
 
 def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:
-    """Piecewise-linear CDF on strictly increasing knots; values in [0, 1]."""
+    """Piecewise-linear CDF on strictly increasing knots; values in [0, 1].
+
+    H is 0 below the first knot and 1 from the last knot on, so masses
+    values[0] and 1 - values[-1] sit on the end knots.
+    """
     th = np.asarray(theta, dtype=float)
     va = np.asarray(values, dtype=float)
     if th.ndim != 1 or th.size < 2 or th.shape != va.shape:
@@ -353,7 +364,8 @@ def cd_eval(cd: ConfidenceDistribution, x):
         out = np.where(arr <= lo, 0.0, out) if math.isfinite(lo) else out
         out = np.where(arr >= hi, 1.0, out) if math.isfinite(hi) else out
     elif cd.kind == "grid":
-        out = np.interp(arr, cd.theta, cd.values)
+        # 0 below the first knot and 1 from the last on: the end masses sit on the end knots
+        out = np.where(arr >= cd.theta[-1], 1.0, np.interp(arr, cd.theta, cd.values, left=0.0))
     elif cd.kind == "sample":
         idx = np.searchsorted(cd.atoms, arr, side="right")
         out = np.where(idx > 0, cd.values[idx - 1], 0.0)
@@ -477,20 +489,28 @@ class CdRandomVariable:
 # ---------------------------------------------------------------------------
 # transforms and intervals
 
-def _spot_check_monotone(g, xs, direction):
+def _elementwise(f, x):
+    """f of each element of x; a scalar x gives a float."""
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim == 0:
+        return float(f(float(xa)))
+    return np.array([float(f(v)) for v in xa.ravel()]).reshape(xa.shape)
+
+
+def _spot_check_monotone(f, cd, direction, what):
+    """Raise MonotonicityError unless the 101 quantiles of cd from 0.001 to
+    0.999 rise and f at them is finite and moves in ``direction``, within
+    1e-12 of its scale."""
+    xs = cd_quantile(cd, np.linspace(0.001, 0.999, 101))
     with np.errstate(all="ignore"):
-        ys = np.array([float(g(x)) for x in xs])
+        ys = _elementwise(f, xs)
     if not np.all(np.isfinite(ys)):
-        raise MonotonicityError("transform produced non-finite values on the check grid")
-    diffs = np.diff(ys)
+        raise MonotonicityError(f"{what} is not finite across the central quantile range")
+    sign = 1.0 if direction == "increasing" else -1.0
     scale = max(float(np.max(np.abs(ys))), 1.0)
-    if direction == "increasing":
-        ok = np.all(diffs >= -1e-12 * scale) and ys[-1] > ys[0]
-    else:
-        ok = np.all(diffs <= 1e-12 * scale) and ys[-1] < ys[0]
-    if not ok:
-        raise MonotonicityError(f"transform failed the {direction} spot check")
-    return ys
+    if not (np.all(np.diff(xs) >= 0.0) and np.all(sign * np.diff(ys) >= -1e-12 * scale)
+            and sign * (ys[-1] - ys[0]) > 0.0):
+        raise MonotonicityError(f"{what} failed the {direction} spot check")
 
 
 def transform_cd(cd: ConfidenceDistribution, g, direction: str,
@@ -499,66 +519,51 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
 
     The direction is spot-checked on a 101-point grid spanning the central
     0.998 quantile range.  Sample CDs map their atoms exactly; other kinds
-    wrap the evaluators, so quantiles commute with g by construction.
+    wrap the evaluators, so quantiles commute with g by construction.  The
+    new support is g of the old edges; an edge where g gives no finite
+    number is unbounded.
     """
     if direction not in ("increasing", "decreasing"):
         raise ParameterDomainError("direction must be 'increasing' or 'decreasing'")
-    qs = cd_quantile(cd, np.linspace(0.001, 0.999, 101))
-    ys = _spot_check_monotone(g, qs, direction)
+    _spot_check_monotone(g, cd, direction, "transform")
 
     if cd.kind == "sample":
-        new_atoms = np.array([float(g(a)) for a in cd.atoms])
+        new_atoms = _elementwise(g, cd.atoms)
         if not np.all(np.isfinite(new_atoms)):
             raise MonotonicityError("transform produced non-finite atoms")
         return sample_cd(new_atoms, cd.weights, meta=cd.meta)
 
-    lo, hi = cd.support
-    edge_lo = pk._try_eval(g, lo) if math.isfinite(lo) else (ys[0] if direction == "increasing" else ys[-1])
-    edge_hi = pk._try_eval(g, hi) if math.isfinite(hi) else (ys[-1] if direction == "increasing" else ys[0])
     increasing = direction == "increasing"
-    new_lo = edge_lo if increasing else edge_hi
-    new_hi = edge_hi if increasing else edge_lo
+    lo, hi = cd.support
+    with np.errstate(all="ignore"):
+        edges = (pk._try_eval(g, lo), pk._try_eval(g, hi))
+    new_lo, new_hi = edges if increasing else edges[::-1]
     new_lo = new_lo if math.isfinite(new_lo) else -math.inf
     new_hi = new_hi if math.isfinite(new_hi) else math.inf
     if not new_lo < new_hi:
         new_lo, new_hi = -math.inf, math.inf
+    # at and beyond the new edges g^{-1} is the old edge: g may have no inverse there
+    under_lo, under_hi = (lo, hi) if increasing else (hi, lo)
 
-    if g_inverse is None:
-        def ginv(y):
-            return pk.bracket_root(lambda t: float(g(t)) - float(y), lo, hi)
-    else:
-        ginv = g_inverse
+    def ginv(y):
+        y = float(y)
+        if y <= new_lo:
+            return under_lo
+        if y >= new_hi:
+            return under_hi
+        if g_inverse is not None:
+            return float(g_inverse(y))
+        return pk.bracket_root(lambda t: float(g(t)) - y, lo, hi)
 
-    def _ginv_arr(y):
-        ya = np.asarray(y, dtype=float)
-        if ya.ndim == 0:
-            return float(ginv(float(ya)))
-        return np.array([float(ginv(v)) for v in ya])
-
-    if increasing:
-        new_cdf = lambda y: cd_eval(cd, _ginv_arr(y))
-        new_quantile = lambda s: _apply_g(g, cd_quantile(cd, s))
-        new_log_cdf = (lambda y: cd_log_lower(cd, float(ginv(float(y))))) if _has_logs(cd) else None
-        new_log_sf = (lambda y: cd_log_upper(cd, float(ginv(float(y))))) if _has_logs(cd) else None
-    else:
-        new_cdf = lambda y: 1.0 - np.asarray(cd_eval(cd, _ginv_arr(y)), dtype=float)
-        new_quantile = lambda s: _apply_g(g, cd_quantile(cd, 1.0 - np.asarray(s, dtype=float)))
-        new_log_cdf = (lambda y: cd_log_upper(cd, float(ginv(float(y))))) if _has_logs(cd) else None
-        new_log_sf = (lambda y: cd_log_lower(cd, float(ginv(float(y))))) if _has_logs(cd) else None
-
-    return analytic_cd(new_cdf, (new_lo, new_hi), quantile_fn=new_quantile,
-                       log_cdf_fn=new_log_cdf, log_sf_fn=new_log_sf, meta=cd.meta)
-
-
-def _has_logs(cd):
-    return cd.kind != "analytic" or cd.log_cdf_fn is not None or cd.log_sf_fn is not None
-
-
-def _apply_g(g, x):
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim == 0:
-        return float(g(float(xa)))
-    return np.array([float(g(v)) for v in xa])
+    flip = (lambda s: s) if increasing else (lambda s: 1.0 - np.asarray(s, dtype=float))
+    log_lower, log_upper = ((cd_log_lower, cd_log_upper) if increasing
+                            else (cd_log_upper, cd_log_lower))
+    logs = cd.kind != "analytic" or cd.log_cdf_fn is not None or cd.log_sf_fn is not None
+    return analytic_cd(lambda y: flip(cd_eval(cd, _elementwise(ginv, y))), (new_lo, new_hi),
+                       quantile_fn=lambda s: _elementwise(g, cd_quantile(cd, flip(s))),
+                       log_cdf_fn=(lambda y: log_lower(cd, ginv(y))) if logs else None,
+                       log_sf_fn=(lambda y: log_upper(cd, ginv(y))) if logs else None,
+                       meta=cd.meta)
 
 
 def _interval_probs(level: float) -> tuple[float, float]:
@@ -591,6 +596,43 @@ def materialize(cd: ConfidenceDistribution, n_grid: int = 1025) -> ConfidenceDis
     return grid_cd(th, cd_eval(cd, th), meta=cd.meta)
 
 
+def write_table(path, header, columns, preamble="") -> None:
+    """Write a text table: ``preamble`` as is, a header row, then one row per
+    index of ``columns`` with each value formatted ``%.17g`` (an integer
+    prints as itself, a float reads back exactly).  Rows end in CRLF."""
+    # a column at a time, on Python numbers: numpy scalars format slower
+    cells = [[f"{v:.17g}" for v in np.asarray(col).tolist()] for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(preamble)
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*cells))
+
+
+def read_table(path):
+    """Read a text table as ``(header or None, float matrix)``: blank lines are
+    skipped, and a first row that is not all numbers is the header.  Ragged
+    rows, a cell that is not a number or no data rows raise
+    ``ParameterDomainError`` naming the file."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = None
+    if rows:
+        try:
+            list(map(float, rows[0]))
+        except ValueError:
+            header = rows.pop(0)
+    if not rows:
+        raise ParameterDomainError(f"{path}: no data rows")
+    if len(set(map(len, rows)) | {len(header or rows[0])}) > 1:
+        raise ParameterDomainError(f"{path}: rows must all have the same column count")
+    try:
+        cells = np.array(list(map(float, chain.from_iterable(rows))))
+    except ValueError as exc:
+        raise ParameterDomainError(f"{path}: {exc}") from exc
+    return header, cells.reshape(len(rows), -1)
+
+
 _FAMILY_TAG = "# cdkit-family "
 
 
@@ -601,15 +643,12 @@ def save_cd_csv(cd: ConfidenceDistribution, path) -> None:
     then the rows of its materialized grid for readers that skip that line.
     """
     out = materialize(cd)
-    header, first, second = ((["theta", "H"], out.theta, out.values) if out.kind == "grid"
-                             else (["atom", "weight"], out.atoms, out.weights))
-    with open(path, "w", newline="") as fh:
-        if cd.family is not None:  # json writes floats as repr: they read back exactly
-            body = json.dumps({"family": cd.family.name, **cd.family.params})
-            fh.write(f"{_FAMILY_TAG}{body}\r\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{a:.17g}", f"{b:.17g}"] for a, b in zip(first, second))
+    # json writes floats as repr: they read back exactly
+    preamble = "" if cd.family is None else (
+        _FAMILY_TAG + json.dumps({"family": cd.family.name, **cd.family.params}) + "\r\n")
+    header, columns = ((["theta", "H"], [out.theta, out.values]) if out.kind == "grid"
+                       else (["atom", "weight"], [out.atoms, out.weights]))
+    write_table(path, header, columns, preamble)
 
 
 def load_cd_csv(path) -> ConfidenceDistribution:
@@ -620,22 +659,16 @@ def load_cd_csv(path) -> ConfidenceDistribution:
     """
     with open(path, newline="") as fh:
         first = fh.readline()
-        if first.startswith(_FAMILY_TAG):
-            try:
-                body = json.loads(first[len(_FAMILY_TAG):])
-                return family_cd(FamilySpec(body.pop("family"), body))
-            except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
-                raise ParameterDomainError(f"{path}: bad cdkit-family line: {exc!r}") from exc
-        fh.seek(0)
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) != 2:
-        raise ParameterDomainError(f"{path}: expected a two-column CD file")
-    header = [c.strip().lower() for c in rows[0]]
-    body = np.array([[float(a), float(b)] for a, b in rows[1:]], dtype=float)
-    if body.size == 0:
-        raise ParameterDomainError(f"{path}: no data rows")
-    if header == ["theta", "h"]:
+    if first.startswith(_FAMILY_TAG):
+        try:
+            body = json.loads(first[len(_FAMILY_TAG):])
+            return family_cd(FamilySpec(body.pop("family"), body))
+        except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+            raise ParameterDomainError(f"{path}: bad cdkit-family line: {exc!r}") from exc
+    header, body = read_table(path)
+    key = header and [c.strip().lower() for c in header]
+    if key == ["theta", "h"]:
         return grid_cd(body[:, 0], body[:, 1])
-    if header == ["atom", "weight"]:
+    if key == ["atom", "weight"]:
         return sample_cd(body[:, 0], body[:, 1])
-    raise ParameterDomainError(f"{path}: unrecognized header {rows[0]!r}")
+    raise ParameterDomainError(f"{path}: expected a theta,H or atom,weight header, got {header!r}")

@@ -7,15 +7,13 @@ the library exit 1 with the originating error.
 """
 
 import argparse
-import csv
 import json
 import sys
-
-import numpy as np
 
 from .cd_core import (
     central_interval,
     load_cd_csv,
+    read_table,
     save_cd_csv,
 )
 from .compare import (
@@ -57,20 +55,8 @@ _LEVELS = (0.90, 0.95, 0.99)
 # ---------------------------------------------------------------------------
 # input plumbing
 
-def _read_matrix(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ConfigError(f"{path}: empty data file")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1  # header row
-    width = len(rows[start]) if start < len(rows) else 0
-    if width == 0 or any(len(row) != width for row in rows[start:]):
-        raise ConfigError(f"{path}: rows must all have the same column count")
-    return np.array([[float(cell) for cell in row] for row in rows[start:]])
+def _read_matrix(path):
+    return read_table(path)[1]
 
 
 def _parse_sigma(text: str):

@@ -27,7 +27,6 @@ quantiles cached once per base; normal-variance, Fisher-z, likelihood and
 bootstrap CDs evaluate their own.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .cd_core import (
     cd_log_lower,
     cd_log_upper,
     cd_quantile,
+    write_table,
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
 from .inference import _PROBES, _integrability_check
@@ -306,11 +306,8 @@ def bahadur_slopes(cd: ConfidenceDistribution, theta0: float, eps: float,
 
 def dump_slopes(path, rows) -> None:
     """CSV of (n, eps, left_slope, right_slope) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "eps", "left_slope", "right_slope"])
-        for n, eps, left, right in rows:
-            writer.writerow([int(n), f"{eps:.17g}", f"{left:.17g}", f"{right:.17g}"])
+    write_table(path, ["n", "eps", "left_slope", "right_slope"],
+                zip(*((int(n), eps, left, right) for n, eps, left, right in rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -21,8 +21,9 @@ from . import probkernel as pk
 from .cd_core import (
     ConfidenceDistribution,
     FamilySpec,
+    _elementwise,
+    _spot_check_monotone,
     analytic_cd,
-    cd_quantile,
     family_cd,
     location_scale_cd,
 )
@@ -142,58 +143,30 @@ def from_pivot(spec: PivotSpec, data, support=(-math.inf, math.inf)) -> Confiden
     if not lo < hi:
         raise ParameterDomainError("support must satisfy lo < hi")
     increasing = spec.direction == "increasing"
-
-    def psi_arr(x):
-        xa = np.asarray(x, dtype=float)
-        if xa.ndim == 0:
-            return float(spec.psi(data, float(xa)))
-        return np.array([float(spec.psi(data, v)) for v in xa])
+    psi = partial(spec.psi, data)
 
     def cdf_fn(x):
-        g = pk.cdf(spec.law, psi_arr(x))
+        g = pk.cdf(spec.law, _elementwise(psi, x))
         return g if increasing else 1.0 - np.asarray(g, dtype=float)
 
     def quantile_fn(s):
         sa = np.asarray(s, dtype=float)
         target = pk.quantile(spec.law, sa if increasing else 1.0 - sa)
-        flat = np.atleast_1d(target)
-        roots = np.array([pk.bracket_root(lambda t, q=q: float(spec.psi(data, t)) - q, lo, hi)
-                          for q in flat])
-        return roots.reshape(sa.shape) if sa.ndim else float(roots[0])
+        return _elementwise(lambda q: pk.bracket_root(lambda t: float(psi(t)) - q, lo, hi), target)
 
-    def log_cdf_fn(x):
-        side = "lower" if increasing else "upper"
-        return pk.log_tail(spec.law, float(spec.psi(data, float(x))), side)
-
-    def log_sf_fn(x):
-        side = "upper" if increasing else "lower"
-        return pk.log_tail(spec.law, float(spec.psi(data, float(x))), side)
-
+    lower, upper = ("lower", "upper") if increasing else ("upper", "lower")
     cd = analytic_cd(cdf_fn, (lo, hi), quantile_fn=quantile_fn,
-                     log_cdf_fn=log_cdf_fn, log_sf_fn=log_sf_fn)
-    _direction_spot_check(psi_arr, cd, spec.direction)
-    return cd
-
-
-def _direction_spot_check(psi_arr, cd, direction):
+                     log_cdf_fn=lambda x: pk.log_tail(spec.law, float(psi(float(x))), lower),
+                     log_sf_fn=lambda x: pk.log_tail(spec.law, float(psi(float(x))), upper))
     try:
-        grid = cd_quantile(cd, np.linspace(0.001, 0.999, 101))
+        _spot_check_monotone(psi, cd, spec.direction, "pivot")
     except RootBracketError as exc:
         # a monotone pivot matching its declared law always brackets
         raise MonotonicityError(
             f"pivot could not be inverted across the law's central range; "
-            f"it is likely not {direction} in theta ({exc})"
+            f"it is likely not {spec.direction} in theta ({exc})"
         ) from exc
-    with np.errstate(all="ignore"):
-        vals = psi_arr(grid)
-    if not np.all(np.isfinite(vals)):
-        raise MonotonicityError("pivot is not finite across the central quantile range")
-    diffs = np.diff(vals)
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    ok = (np.all(diffs >= -1e-12 * scale) if direction == "increasing"
-          else np.all(diffs <= 1e-12 * scale))
-    if not ok:
-        raise MonotonicityError(f"pivot violates the declared {direction} direction")
+    return cd
 
 
 # ---------------------------------------------------------------------------

@@ -184,47 +184,50 @@ def cd_mode(cd: ConfidenceDistribution) -> float:
 # ---------------------------------------------------------------------------
 # supports
 
-def _interval_mass(cd, lo, hi):
-    top = cd_eval(cd, hi) if math.isfinite(hi) else 1.0
-    bot = cd_eval(cd, lo) if math.isfinite(lo) else 0.0
-    return float(np.clip(top - bot, 0.0, 1.0))
-
-
 def _ccf(cd: ConfidenceDistribution, x: float) -> float:
     """Two-sided centrality of a scalar CD at x: 2 min(H(x), 1 - H(x))."""
     h = float(cd_eval(cd, float(x)))
     return 2.0 * min(h, 1.0 - h)
 
 
+def _interval_supports(cd, region, weak=True) -> list:
+    """(strong, weak) support of each interval of the region, each finite end
+    read once; weak=False skips the median and leaves weak None."""
+    med = cd_median(cd) if weak else None
+    parts = []
+    for lo, hi in region.intervals:
+        bot = cd_eval(cd, lo) if math.isfinite(lo) else 0.0
+        top = cd_eval(cd, hi) if math.isfinite(hi) else 1.0
+        w = None
+        if weak:
+            # the curve 2 min(H, 1-H) rises to the median then falls, so the
+            # supremum over the interval sits at the endpoint nearest the median
+            h = top if hi < med else bot
+            w = 1.0 if lo <= med <= hi else 2.0 * min(h, 1.0 - h)
+        parts.append((float(np.clip(top - bot, 0.0, 1.0)), w))
+    return parts
+
+
 def strong_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """H-mass of the region; identically 0 for point nulls."""
     if region.kind == "points":
         return 0.0
-    return float(np.clip(sum(_interval_mass(cd, lo, hi) for lo, hi in region.intervals),
+    return float(np.clip(sum(m for m, _ in _interval_supports(cd, region, weak=False)),
                          0.0, 1.0))
-
-
-def _interval_weak(cd, lo, hi, med):
-    if lo <= med <= hi:
-        return 1.0
-    # the curve 2 min(H, 1-H) rises to the median then falls, so the
-    # supremum over the interval sits at the endpoint nearest the median
-    return _ccf(cd, hi) if hi < med else _ccf(cd, lo)
 
 
 def weak_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """sup over the region of 2 min(H, 1 - H)."""
-    med = cd_median(cd)
     if region.kind == "points":
         return max(_ccf(cd, p) for p in region.points)
-    return max(_interval_weak(cd, lo, hi, med) for lo, hi in region.intervals)
+    return max(w for _, w in _interval_supports(cd, region))
 
 
 def iut_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """Union rule for interval unions: the largest single-interval strong support."""
     if region.kind != "intervals":
         raise ParameterDomainError("the union rule applies to interval regions")
-    return max(_interval_mass(cd, lo, hi) for lo, hi in region.intervals)
+    return max(m for m, _ in _interval_supports(cd, region, weak=False))
 
 
 @dataclass(frozen=True)
@@ -248,25 +251,19 @@ class SupportReport:
 
 
 def support_report(cd: ConfidenceDistribution, region: NullRegion) -> SupportReport:
-    med = cd_median(cd)
+    """All three supports and the per-component values, each read once."""
     if region.kind == "points":
         comps = tuple({"point": p, "p_s": 0.0, "p_w": _ccf(cd, p)} for p in region.points)
-        return SupportReport(0.0, weak_support(cd, region), 0.0, True, comps)
+        return SupportReport(0.0, max(c["p_w"] for c in comps), 0.0, True, comps)
+    parts = _interval_supports(cd, region)
     comps = tuple(
-        {
-            "interval": [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi],
-            "p_s": _interval_mass(cd, lo, hi),
-            "p_w": _interval_weak(cd, lo, hi, med),
-        }
-        for lo, hi in region.intervals
+        {"interval": [None if math.isinf(lo) else lo, None if math.isinf(hi) else hi],
+         "p_s": m, "p_w": w}
+        for (lo, hi), (m, w) in zip(region.intervals, parts)
     )
-    return SupportReport(
-        strong_support(cd, region),
-        weak_support(cd, region),
-        iut_support(cd, region),
-        False,
-        comps,
-    )
+    masses = [m for m, _ in parts]
+    return SupportReport(float(np.clip(sum(masses), 0.0, 1.0)), max(w for _, w in parts),
+                         max(masses), False, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ truncated normal.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
-from .cd_core import ConfidenceDistribution, analytic_cd, grid_cd
+from .cd_core import ConfidenceDistribution, analytic_cd, grid_cd, write_table
 from .errors import (
     OptimizationFailureError,
     ParameterDomainError,
@@ -229,8 +228,4 @@ def likelihood_acd(loglik, theta_window, grid_size: int = 256,
 
 def dump_profile(curve: ProfileCurve, path) -> None:
     """Write the curve as CSV: theta, ell_star."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "ell_star"])
-        for th, es in zip(curve.grid, curve.ell_star):
-            writer.writerow([f"{th:.17g}", f"{es:.17g}"])
+    write_table(path, ["theta", "ell_star"], [curve.grid, curve.ell_star])

@@ -7,22 +7,19 @@ Linear-sense CDs come from pivots theta_hat - A_n^{-1} eta; circular-sense
 confidence regions come from depth-ranked centrality over the cloud.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .cd_core import ConfidenceDistribution, sample_cd
+from .cd_core import ConfidenceDistribution, read_table, sample_cd, write_table
 from .errors import (
     InsufficientDataError,
     MapDomainError,
     ParameterDomainError,
     SingularMatrixError,
 )
-# ccf_1d(cd, x) = 2 min(H(x), 1 - H(x)), the two-sided centrality of a scalar CD
-from .inference import _ccf as ccf_1d
 
 _MIN_CLOUD = 1000
 _MIN_DIRECTIONS = 180
@@ -258,18 +255,9 @@ def central_region_test(cf: CentralityFn, level: float, x) -> bool:
 # cloud files
 
 def save_cloud_csv(mcd: MultiCD, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(mcd.k)])
-        for row in mcd.cloud:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_table(path, [f"x{j + 1}" for j in range(mcd.k)], mcd.cloud.T)
 
 
 def load_cloud_csv(path) -> MultiCD:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 2:
-            raise ParameterDomainError("cloud CSV needs at least two columns")
-        rows = [[float(v) for v in row] for row in reader]
-    return MultiCD(np.asarray(rows, dtype=float))
+    """A cloud file, with or without its x1,x2,... header."""
+    return MultiCD(read_table(path)[1])

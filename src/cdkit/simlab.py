@@ -9,7 +9,6 @@ its index: reports are bit-for-bit reproducible at any worker count.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -38,6 +37,7 @@ from .cd_core import (
     cd_quantile,
     location_scale_cd,
     sample_cd,
+    write_table,
 )
 from .constructors import (
     DataSample,
@@ -369,8 +369,4 @@ def report_to_json(report: CalibrationReport) -> str:
 
 
 def dump_u_values(report: CalibrationReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "u"])
-        for i, u in enumerate(report.u_values):
-            writer.writerow([i, f"{u:.17g}"])
+    write_table(path, ["replicate", "u"], [range(len(report.u_values)), report.u_values])

@@ -72,9 +72,12 @@ def test_cdf_monotone_and_bounded(cd):
     assert np.all(h >= 0.0) and np.all(h <= 1.0)
     assert np.all(np.diff(h) >= -1e-12)
     if cd.kind == "grid":
-        # a grid CD reaches its knot values at the support edges
-        assert cd_eval(cd, -1e3) == cd.values[0] and cd.values[0] < 1e-3
-        assert cd_eval(cd, 1e3) == cd.values[-1] and cd.values[-1] > 1.0 - 1e-3
+        # a grid CD holds its end masses on its end knots: H is 0 below the
+        # first knot, its value there at it, and 1 from the last knot on
+        th, va = cd.theta, cd.values
+        assert cd_eval(cd, -1e3) == 0.0 and cd_eval(cd, th[0]) == va[0] and 0.0 < va[0] < 1e-3
+        assert cd_eval(cd, np.nextafter(th[-1], -np.inf)) <= va[-1] < 1.0
+        assert cd_eval(cd, th[-1]) == 1.0 and cd_eval(cd, 1e3) == 1.0 and va[-1] > 1.0 - 1e-3
     else:
         assert cd_eval(cd, -1e3) < 1e-9
         assert cd_eval(cd, 1e3) > 1.0 - 1e-9
@@ -164,6 +167,17 @@ def test_sample_interval_ends_are_the_nominal_atoms(b, level):
     asc = np.sort(atoms)
     assert lo == asc[math.ceil(b * half) - 1]
     assert hi == asc[math.ceil(b * (1 - half)) - 1]
+
+
+def test_grid_end_masses_sit_on_the_end_knots():
+    # mass 0.1 on the last knot: H(1) is 1, so Q(0.95) = 1 meets H(Q(s)) >= s
+    top = grid_cd([0.0, 1.0], [0.0, 0.9])
+    assert cd_quantile(top, 0.95) == 1.0 and cd_eval(top, 1.0) == 1.0
+    assert cd_eval(top, np.nextafter(1.0, 0.0)) < 0.9 + 1e-12
+    # mass 0.2 on the first knot: H is 0 below it, so no Q(H(x)) exceeds x
+    bottom = grid_cd([0.0, 1.0], [0.2, 1.0])
+    assert cd_eval(bottom, -1.0) == 0.0 and cd_eval(bottom, 0.0) == 0.2
+    assert cd_quantile(bottom, cd_eval(bottom, 0.0)) == 0.0
 
 
 def test_grid_validation():
@@ -273,6 +287,31 @@ def test_transform_rejects_nonmonotone():
         transform_cd(_normal_cd(), math.sin, "increasing")
     with pytest.raises(MonotonicityError):
         transform_cd(_normal_cd(), math.exp, "decreasing")
+    with pytest.raises(MonotonicityError):  # nan below 0
+        transform_cd(_normal_cd(), np.log, "increasing")
+    with pytest.raises(MonotonicityError):  # flat
+        transform_cd(_normal_cd(), lambda t: 1.0, "increasing")
+    with pytest.raises(MonotonicityError):  # the central quantiles are positive, atom 0 is not
+        transform_cd(sample_cd(np.linspace(0.0, 1.0, 2000)),
+                     lambda t: math.log(t) if t > 0.0 else -math.inf, "increasing")
+
+
+@pytest.mark.parametrize("g, direction, g_inverse, support", [
+    (np.exp, "increasing", None, (0.0, math.inf)),
+    (np.exp, "increasing", np.log, (0.0, math.inf)),
+    (lambda t: -math.exp(t), "decreasing", None, (-math.inf, 0.0)),
+    (lambda t: -math.exp(t), "decreasing", lambda y: math.log(-y), (-math.inf, 0.0)),
+    (math.atan, "increasing", math.tan, (-math.pi / 2, math.pi / 2)),
+    (lambda t: 1.0 - 2.0 * t, "decreasing", None, (-math.inf, math.inf)),
+], ids=["exp", "exp-with-log", "minus-exp", "minus-exp-with-log", "atan-with-tan", "affine"])
+def test_transform_keeps_the_tails_of_an_unbounded_cd(g, direction, g_inverse, support):
+    # the new support is g of the old edges, so no tail mass is cut off
+    out = transform_cd(location_scale_cd(Normal(), 0.0, 1.0), g, direction, g_inverse)
+    assert out.support == support
+    for s in (1e-6, 0.0005, 0.5, 0.9995, 1.0 - 1e-6):
+        assert cd_eval(out, cd_quantile(out, s)) == pytest.approx(s, rel=1e-9)
+    lo, hi = support
+    assert cd_eval(out, np.array([lo - 1.0, lo, hi, hi + 1.0])).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_transform_sample_maps_atoms_exactly():

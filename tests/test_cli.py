@@ -90,6 +90,23 @@ class TestConstruct:
         assert code == 2
         assert "config error:" in err
 
+    @pytest.mark.parametrize("text", ["", "x\n", "0.5,1\n0.7\n", "x\n0.5\nnan?\n"])
+    def test_bad_data_file_exits_two_naming_it(self, capsys, tmp_path, text):
+        data = tmp_path / "bad-data.csv"
+        data.write_text(text)
+        code, _, err = _run(capsys, [
+            "construct", "--model", "normal-mean", "--data", str(data),
+            "--out", str(tmp_path / "cd.csv")])
+        assert code == 2
+        assert err.startswith("config error:") and "bad-data.csv" in err
+
+    def test_blank_lines_in_data_are_skipped(self, capsys, tmp_path, mean_one_csv):
+        data = tmp_path / "gappy.csv"
+        data.write_text("\nx\n\n0.5\n1.5\n\n0.8\n1.2\n\n")
+        _, want = _construct(capsys, tmp_path, mean_one_csv)
+        _, got = _construct(capsys, tmp_path, str(data))
+        assert got["estimates"] == want["estimates"]
+
     def test_bad_model_choice(self, capsys, tmp_path, mean_one_csv):
         code, _, _ = _run(capsys, [
             "construct", "--model", "poisson-mean", "--data", mean_one_csv])
@@ -114,6 +131,13 @@ class TestEstimateAndTest:
         assert report["p_s_star"] <= report["p_s"] + 1e-12
         assert report["p_s"] <= report["p_w"] + 1e-12
         assert len(report["per_component"]) == 2
+
+    def test_blank_lines_in_a_cd_file_are_skipped(self, capsys, tmp_path):
+        cd = tmp_path / "gappy-cd.csv"
+        cd.write_text("theta,H\n\n0,0\n1,0.5\n\n2,1\n\n")
+        code, stdout, _ = _run(capsys, ["estimate", "--cd", str(cd)])
+        assert code == 0
+        assert json.loads(stdout)["estimates"]["median"] == 1.0
 
     def test_bad_region_json(self, capsys, tmp_path, mean_one_csv):
         out, _ = _construct(capsys, tmp_path, mean_one_csv)
@@ -366,6 +390,20 @@ class TestMv:
         assert set(body["intervals"]) == {"0.90", "0.95", "0.99"}
         reloaded = load_cd_csv(out)
         assert reloaded.atoms.size == 1000
+
+    def test_headerless_cloud_uses_every_row(self, capsys, tmp_path):
+        cloud = np.random.default_rng(43).normal(size=(1001, 2))
+        path = tmp_path / "bare-cloud.csv"
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in cloud.tolist()))
+        out = str(tmp_path / "proj.csv")
+        code, _, _ = _run(capsys, [
+            "mv", "project", "--cloud", str(path), "--axis", "1,0", "--out", out])
+        assert code == 0
+        assert np.array_equal(load_cd_csv(out).atoms, np.sort(cloud[:, 0]))
+        code, stdout, _ = _run(capsys, [
+            "mv", "depth", "--cloud", str(path), "--point", "0.1,-0.3"])
+        assert code == 0
+        assert json.loads(stdout)["depth"] == depth(DepthSpec("mahalanobis"), cloud, (0.1, -0.3))
 
     def test_depth_matches_library(self, capsys, cloud_csv):
         path, mcd = cloud_csv

@@ -204,6 +204,13 @@ def test_pivot_direction_is_verified():
     bad = PivotSpec(psi=lambda d, th: math.sin(3.0 * th), law=Uniform01(), direction="increasing")
     with pytest.raises(MonotonicityError):
         from_pivot(bad, None, support=(0.0, 1.0))
+    for psi, direction in [
+            (lambda d, th: math.tanh(th), "increasing"),  # no root beyond |psi| = 1
+            (lambda d, th: th, "decreasing"),  # an increasing pivot: Q would fall in s
+            (lambda d, th: -th, "increasing"),
+            (lambda d, th: th if th < 2.0 else math.nan, "increasing")]:  # nan above Q(0.977)
+        with pytest.raises(MonotonicityError):
+            from_pivot(PivotSpec(psi=psi, law=Normal(), direction=direction), None)
 
 
 def test_pivot_log_tails_follow_law():

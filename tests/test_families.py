@@ -1,13 +1,15 @@
 """Family specs, the CD contract under property tests, and lossless CD files.
 
-Every family spec, grid CD and sample CD must satisfy the generalized-inverse
-identities H(Q(s)) >= s and Q(H(x)) <= x, have a nondecreasing H, give
-strong support no larger than weak support, and reload from its file as the
-same CD.  Family CDs meet the inverse identities to rounding (a relative
-1e-9) and grid CDs to the rounding of theta.  Sample CDs, every bootstrap CD
-among them, meet Q(H(x)) <= x exactly and H(Q(s)) >= s - 1e-12: their
-quantile rule stops at the first atom whose H reaches s - 1e-12, so that a
-probability one rounding off a multiple of 1/n lands on its atom.
+Every family spec, grid CD, sample CD and monotone transform of a family or
+sample CD must satisfy the generalized-inverse identities H(Q(s)) >= s and
+Q(H(x)) <= x, have a nondecreasing H, give strong support no larger than weak
+support, and reload from its file as the same CD (a transformed analytic CD,
+which has no spec, as its materialized grid).  Family and transformed CDs
+meet the inverse identities to rounding (a relative 1e-9) and grid CDs to the
+rounding of theta.  Sample CDs, every bootstrap CD among them, meet
+Q(H(x)) <= x exactly and H(Q(s)) >= s - 1e-12: their quantile rule stops at
+the first atom whose H reaches s - 1e-12, so that a probability one rounding
+off a multiple of 1/n lands on its atom.
 """
 
 from functools import partial
@@ -34,6 +36,7 @@ from cdkit.cd_core import (
     materialize,
     sample_cd,
     save_cd_csv,
+    transform_cd,
 )
 from cdkit.errors import ParameterDomainError
 from cdkit.inference import NullRegion, support_report
@@ -61,7 +64,8 @@ SPECS = st.one_of(
 
 @st.composite
 def grid_cds(draw):
-    """Grid CDs from 0 to 1, flat stretches included.
+    """Grid CDs, flat stretches included, whose values may start above 0 and
+    end below 1: the end masses sit on the end knots.
 
     Each step of H is 0 or at least 1e-6: on a segment that rises by a few
     ulps, H(x) can round onto the next knot's value, and Q of that is the knot.
@@ -72,7 +76,9 @@ def grid_cds(draw):
     steps = np.array(draw(st.lists(step, min_size=len(gaps), max_size=len(gaps))))
     steps[-1] += 0.01
     cum = np.concatenate([[0.0], np.cumsum(steps)])
-    return grid_cd(theta, cum / cum[-1])
+    end_mass = st.one_of(st.just(0.0), _reals(1e-6, 0.4))
+    first, last = draw(end_mass), draw(end_mass)
+    return grid_cd(theta, first + (1.0 - first - last) * (cum / cum[-1]))
 
 
 @st.composite
@@ -84,7 +90,25 @@ def sample_cds(draw):
     return sample_cd(atoms, w / w.sum())
 
 
-CDS = st.one_of(SPECS.map(family_cd), grid_cds(), sample_cds())
+# (g, direction, g^{-1}): the transforms keep the rounding of the base CD
+MAPS = [(lambda t: 2.0 * t + 1.0, "increasing", lambda y: (y - 1.0) / 2.0),
+        (lambda t: 3.0 - 0.5 * t, "decreasing", lambda y: 2.0 * (3.0 - y))]
+
+
+@st.composite
+def transformed_cds(draw):
+    """Monotone transforms of family and sample CDs, with and without g^{-1}.
+    The direction spot check needs g(Q(0.001)) < g(Q(0.999)) after rounding.
+    Grids are left out: a transform is an analytic CD, whose H is 0 at its
+    lower support edge, so it drops the mass a grid keeps on an end knot."""
+    spread = sample_cds().filter(
+        lambda cd: cd_quantile(cd, 0.999) - cd_quantile(cd, 0.001) > 1e-6)
+    base = draw(st.one_of(SPECS.map(family_cd), spread))
+    g, direction, g_inverse = draw(st.sampled_from(MAPS))
+    return transform_cd(base, g, direction, g_inverse if draw(st.booleans()) else None)
+
+
+CDS = st.one_of(SPECS.map(family_cd), grid_cds(), sample_cds(), transformed_cds())
 PROBS = st.lists(_reals(1e-6, 1.0 - 1e-6), min_size=1, max_size=20)
 
 
@@ -153,6 +177,8 @@ class TestContract:
         path = tmp_path_factory.mktemp("cd") / "cd.csv"
         save_cd_csv(cd, path)
         back = load_cd_csv(path)
+        if cd.kind == "analytic" and cd.family is None:
+            cd = materialize(cd)
         assert back.kind == cd.kind and back.family == cd.family
         s = np.array(probs)
         lo, hi = _span(cd)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cdkit.cd_core import grid_cd, location_scale_cd, sample_cd
+from cdkit import inference
+from cdkit.cd_core import cd_eval, grid_cd, location_scale_cd, sample_cd
 from cdkit.constructors import DataSample, normal_mean_cd, normal_variance_cd
 from cdkit.errors import (
     NonintegrableCdError,
@@ -198,6 +199,56 @@ class TestSupports:
             p_w = weak_support(cd, region)
             assert p_star <= p_s + 1e-12
             assert p_s <= p_w + 1e-12
+
+
+class TestSupportReport:
+    CDS = [location_scale_cd(Normal(0.0, 1.0), 0.3, 0.8),
+           grid_cd([-2.0, 0.0, 1.0, 3.0], [0.1, 0.3, 0.85, 0.95]),
+           sample_cd(np.random.default_rng(5).normal(size=300))]
+    REGIONS = [NullRegion.from_intervals([(-2.0, -0.5), (1.0, 2.0)]),
+               NullRegion.from_intervals([(-math.inf, 0.1), (0.2, 0.4), (2.5, math.inf)]),
+               NullRegion.from_intervals([(-3.0, 3.0)]),
+               NullRegion.from_points([-0.4, 1.7])]
+
+    @pytest.mark.parametrize("cd", CDS, ids=["analytic", "grid", "sample"])
+    def test_report_is_its_definition_bit_for_bit(self, cd):
+        med = cd_median(cd)
+        for region in self.REGIONS:
+            report = support_report(cd, region)
+            assert report.p_w == weak_support(cd, region)
+            assert report.p_s == strong_support(cd, region)
+            if region.kind == "points":
+                h = [cd_eval(cd, p) for p in region.points]
+                assert [c["p_w"] for c in report.per_component] == [2.0 * min(v, 1.0 - v)
+                                                                    for v in h]
+                continue
+            assert report.p_s_star == iut_support(cd, region)
+            masses, weaks = [], []
+            for lo, hi in region.intervals:
+                top = cd_eval(cd, hi) if math.isfinite(hi) else 1.0
+                bot = cd_eval(cd, lo) if math.isfinite(lo) else 0.0
+                masses.append(float(np.clip(top - bot, 0.0, 1.0)))
+                h = top if hi < med else bot
+                weaks.append(1.0 if lo <= med <= hi else 2.0 * min(h, 1.0 - h))
+            assert [c["p_s"] for c in report.per_component] == masses
+            assert [c["p_w"] for c in report.per_component] == weaks
+            assert report.p_s == float(np.clip(sum(masses), 0.0, 1.0))
+            assert (report.p_w, report.p_s_star) == (max(weaks), max(masses))
+
+    @pytest.mark.parametrize("region, evals, quantiles", [
+        (NullRegion.from_intervals([(-2.0, -0.5), (1.0, 2.0)]), 4, 1),
+        (NullRegion.from_intervals([(-math.inf, 0.1), (2.5, math.inf)]), 2, 1),
+        (NullRegion.from_points([-0.4, 1.7]), 2, 0),
+    ], ids=["two-intervals", "two-tails", "two-points"])
+    def test_each_component_is_read_once(self, monkeypatch, region, evals, quantiles):
+        calls = {"cd_eval": 0, "cd_quantile": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(inference, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(inference, name, counted)
+        support_report(location_scale_cd(Normal(0.0, 1.0), 0.3, 0.8), region)
+        assert calls == {"cd_eval": evals, "cd_quantile": quantiles}
 
 
 class TestClassify:

@@ -15,13 +15,12 @@ from cdkit.errors import (
     ParameterDomainError,
     SingularMatrixError,
 )
-from cdkit.inference import NullRegion, weak_support
+from cdkit.inference import NullRegion, _ccf, weak_support
 from cdkit.multivariate import (
     CentralityFn,
     DepthSpec,
     MultiCD,
     _direction_matrix,
-    ccf_1d,
     central_region_test,
     centrality,
     centrality_fn,
@@ -346,9 +345,9 @@ class TestCentrality:
 class TestCcf1d:
     def test_analytic_values(self):
         cd = location_scale_cd(pk.Normal(0.0, 1.0), 1.2, 0.4)
-        assert ccf_1d(cd, 1.2) == pytest.approx(1.0, abs=1e-12)
+        assert _ccf(cd, 1.2) == pytest.approx(1.0, abs=1e-12)
         q = cd_quantile(cd, 0.975)
-        assert ccf_1d(cd, q) == pytest.approx(0.05, abs=1e-9)
+        assert _ccf(cd, q) == pytest.approx(0.05, abs=1e-9)
 
     def test_agrees_with_point_weak_support(self):
         cds = [
@@ -358,7 +357,7 @@ class TestCcf1d:
         for cd in cds:
             for x in (-1.0, 0.0, 0.4, 2.2):
                 region = NullRegion.from_points([x])
-                assert abs(ccf_1d(cd, x) - weak_support(cd, region)) <= 1e-15
+                assert abs(_ccf(cd, x) - weak_support(cd, region)) <= 1e-15
 
     def test_interval_region_agreement_in_one_dim(self):
         # depth region on a projected cloud = equal-tail interval, up to 1/sqrt(m)
