@@ -521,11 +521,16 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
     0.998 quantile range.  Sample CDs map their atoms exactly; other kinds
     wrap the evaluators, so quantiles commute with g by construction.  The
     new support is g of the old edges; an edge where g gives no finite
-    number is unbounded.
+    number is unbounded; a grid's starts an ulp below, to keep its end masses.
     """
     if direction not in ("increasing", "decreasing"):
         raise ParameterDomainError("direction must be 'increasing' or 'decreasing'")
     _spot_check_monotone(g, cd, direction, "transform")
+    if cd.kind == "grid" and direction == "decreasing":
+        # the CD of -theta is a grid with the end masses swapped; t -> g(-t) rises
+        mirror = grid_cd(-cd.theta[::-1], 1.0 - cd.values[::-1], meta=cd.meta)
+        return transform_cd(mirror, lambda t: g(-t), "increasing",
+                            None if g_inverse is None else lambda y: -g_inverse(y))
 
     if cd.kind == "sample":
         new_atoms = _elementwise(g, cd.atoms)
@@ -552,14 +557,17 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
         if y >= new_hi:
             return under_hi
         if g_inverse is not None:
-            return float(g_inverse(y))
+            return min(max(float(g_inverse(y)), lo), hi)
         return pk.bracket_root(lambda t: float(g(t)) - y, lo, hi)
 
     flip = (lambda s: s) if increasing else (lambda s: 1.0 - np.asarray(s, dtype=float))
+    # a grid's H is its lower edge's mass at new_lo, so its support starts an ulp
+    # below; an analytic H is 0 there already and keeps g of its edge as support
+    support = (math.nextafter(new_lo, -math.inf) if cd.kind == "grid" else new_lo, new_hi)
     log_lower, log_upper = ((cd_log_lower, cd_log_upper) if increasing
                             else (cd_log_upper, cd_log_lower))
     logs = cd.kind != "analytic" or cd.log_cdf_fn is not None or cd.log_sf_fn is not None
-    return analytic_cd(lambda y: flip(cd_eval(cd, _elementwise(ginv, y))), (new_lo, new_hi),
+    return analytic_cd(lambda y: flip(cd_eval(cd, _elementwise(ginv, y))), support,
                        quantile_fn=lambda s: _elementwise(g, cd_quantile(cd, flip(s))),
                        log_cdf_fn=(lambda y: log_lower(cd, ginv(y))) if logs else None,
                        log_sf_fn=(lambda y: log_upper(cd, ginv(y))) if logs else None,

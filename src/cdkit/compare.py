@@ -20,23 +20,20 @@ generator 1's data is decided once, from the two generators' draw keys; when
 the keys differ, generator 2's own CD is built for its dispersion and risk,
 so the fused pass equals the separate ones bit for bit.
 
-The dispersion quadrature needs four probe quantiles and 2048 node quantiles
-per CD.  Base-mapped CDs, read off ``cd.family`` (location-scale over Normal
-or Student-t, and the exponential-rate pivot CD over chi-square), map base
-quantiles cached once per base; normal-variance, Fisher-z, likelihood and
-bootstrap CDs evaluate their own.
+Dispersion is an expectation under the CD: it reads four probe quantiles,
+then the 2048 node quantiles of ``inference``'s one rule, which ``cd_mean``
+reads too.  Location-scale and exponential-rate CDs map base quantiles cached
+once per base; other CDs evaluate their own.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import probkernel as pk
 from .cd_core import (
-    _FAMILIES,
     ConfidenceDistribution,
     cd_eval,
     cd_log_lower,
@@ -45,10 +42,9 @@ from .cd_core import (
     write_table,
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
-from .inference import _PROBES, _integrability_check
+from .inference import _expect, _quantiles
 from .simlab import CdGenerator, map_indexed
 
-_DISPERSION_POINTS = 2048
 _RISK_POINTS = 256
 _MIN_REPS = 100
 
@@ -139,75 +135,30 @@ def default_risk(theta0: float, scale: float, psi=identity_psi) -> RiskSpec:
 # ---------------------------------------------------------------------------
 # dispersion
 
-def _gauss_nodes(count: int):
-    # Legendre nodes mapped to (0,1)
-    x, w = pk.gauss_legendre(count)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-@lru_cache(maxsize=1)
-def _dispersion_rule():
-    """Nodes s = 3v^2 - 2v^3 and weights of the dispersion quadrature, and their sum."""
-    v, gw = _gauss_nodes(_DISPERSION_POINTS)
-    s = 3.0 * v * v - 2.0 * v ** 3
-    w = gw * 6.0 * v * (1.0 - v)
-    s.setflags(write=False)
-    w.setflags(write=False)
-    return s, w, np.sum(w)
-
-
-def _grid_probs(grid: str) -> np.ndarray:
-    """The probabilities of a fixed quantile grid: "probes" or "dispersion"."""
-    return _PROBES if grid == "probes" else _dispersion_rule()[0]
-
-
-@lru_cache(maxsize=64)
-def _base_quantiles(base: pk.DistKind, grid: str) -> np.ndarray:
-    # shared by every base-mapped CD on this base
-    q = pk.quantile(base, _grid_probs(grid))
-    q.setflags(write=False)
-    return q
-
-
-def _grid_quantiles(cd: ConfidenceDistribution, grid: str) -> np.ndarray:
-    """cd_quantile(cd, _grid_probs(grid)); base-mapped family CDs map cached base quantiles."""
-    row = None if cd.family is None else _FAMILIES[cd.family.name]
-    if row is None or row.from_base is None:
-        return np.asarray(cd_quantile(cd, _grid_probs(grid)), dtype=float)
-    # the CD's own quantile_fn, on cached base quantiles
-    p = cd.family.params
-    return row.from_base(_base_quantiles(row.base(**p), grid), **p)
-
-
-def _loss_values(loss: LossSpec, x: np.ndarray, theta0: float) -> np.ndarray:
-    vals = np.asarray(loss.phi(x, theta0), dtype=float)
+def _apply(f, x: np.ndarray) -> np.ndarray:
+    """f(x) on the whole array, or f of each element when f does not vectorize."""
+    vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:
-        vals = np.array([float(loss.phi(v, theta0)) for v in x])
+        vals = np.array([float(f(v)) for v in x])
     return vals
 
 
 def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float) -> float:
     """Integral of phi(x, theta0) dH(x) for one realized CD.
 
-    Sample representations sum exactly; analytic and grid ones integrate in
-    the quantile domain with 2048 Gauss points under the cubic endpoint map
-    s = 3v^2 - 2v^3, which tames the tail quantile growth.  Four probe
-    quantiles come first: they scale the loss check and reject CDs without a
-    mean before the 2048 are computed.  CDs whose quantile is a map of one
-    base law's (location-scale CDs and the exponential-rate pivot CD) apply
-    that map to probe and node base quantiles computed once per base, with
-    identical bytes; every other CD evaluates its own.
+    Sample representations sum exactly; analytic and grid ones read the
+    expectation rule ``cd_mean`` reads.  Four probe quantiles come first:
+    they scale the loss check, and the rule rejects CDs without a mean
+    before its node quantiles are computed.
     """
     theta0 = float(theta0)
-    probes = _grid_quantiles(cd, "probes")
+    phi = lambda x: _apply(lambda v: loss.phi(v, theta0), x)
+    probes = _quantiles(cd, "probes")
     q25, q75 = float(probes[1]), float(probes[2])
     loss.spot_check(theta0, max(q75 - q25, 1e-6 * (1.0 + abs(theta0))))
     if cd.kind == "sample":
-        return float(np.dot(_loss_values(loss, cd.atoms, theta0), cd.weights))
-    _integrability_check(probes)
-    _, w, w_sum = _dispersion_rule()
-    q = _grid_quantiles(cd, "dispersion")
-    return float(np.dot(_loss_values(loss, q, theta0), w) / w_sum)
+        return float(np.dot(phi(cd.atoms), cd.weights))
+    return _expect(cd, phi, probes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,22 +211,16 @@ def _risk_reader(spec: RiskSpec, theta0: float):
             h0 = float(h[0])
             return float(spec.psi(max(h0, 1.0 - h0)))
         return np.array([lo]), reduce_point
-    v, gw = _gauss_nodes(_RISK_POINTS)
-    xs = lo + (hi - lo) * v
-    dens = np.asarray(spec.weight_density(xs), dtype=float)
-    if dens.shape != xs.shape:
-        dens = np.array([float(spec.weight_density(x)) for x in xs])
+    x, gw = pk.gauss_legendre(_RISK_POINTS)
+    xs = lo + (hi - lo) * (0.5 * (x + 1.0))
+    dens = _apply(spec.weight_density, xs)
     if not np.all(np.isfinite(dens)) or np.any(dens < 0.0):
         raise ParameterDomainError("weight density must be finite and nonnegative")
-    wts = (hi - lo) * gw * dens
+    wts = (hi - lo) * (0.5 * gw) * dens
     upper = xs >= theta0
 
     def reduce(h):
-        dev = np.where(upper, 1.0 - h, h)
-        vals = np.asarray(spec.psi(dev), dtype=float)
-        if vals.shape != dev.shape:
-            vals = np.array([float(spec.psi(d)) for d in dev])
-        return float(np.dot(wts, vals))
+        return float(np.dot(wts, _apply(spec.psi, np.where(upper, 1.0 - h, h))))
     return xs, reduce
 
 

@@ -13,12 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .cd_core import ConfidenceDistribution, cd_density, cd_eval, cd_quantile
+from . import probkernel as pk
+from .cd_core import (_FAMILIES, ConfidenceDistribution, cd_density, cd_eval, cd_quantile,
+                      read_table)
 from .errors import (
     NonintegrableCdError,
     OptimizationFailureError,
@@ -39,8 +43,6 @@ __all__ = [
     "support_report",
     "classify",
 ]
-
-_MEAN_POINTS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +111,48 @@ def cd_median(cd: ConfidenceDistribution) -> float:
 
 
 _TAIL_EPS = 1e-6
-# the probe quantiles every moment-style functional reads first
+# the probe quantiles every expectation, integral of f dH, reads first
 _PROBES = np.array([_TAIL_EPS, 0.25, 0.75, 1.0 - _TAIL_EPS])
+# scipy.special.roots_legendre(2048), tabulated as its nodes x > 0 and their weights
+# (the rule is symmetric): its 0.15 s build would slow every one-shot mean
+_RULE_FILE = Path(__file__).with_name("gauss_legendre_2048.csv")
 
 
-def _probe_quantiles(cd) -> np.ndarray:
-    """Quantiles at 1e-6, 0.25, 0.75 and 1 - 1e-6, in one vector read."""
-    return np.asarray(cd_quantile(cd, _PROBES), dtype=float)
+@lru_cache(maxsize=1)
+def _rule():
+    """Nodes s = 3v^2 - 2v^3 and weights of the 2048-point rule, and their sum:
+    Gauss-Legendre on v in (0, 1), which the cubic map packs into the tails."""
+    xp, wp = read_table(_RULE_FILE)[1].T
+    x, gw = np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
+    v = 0.5 * (x + 1.0)
+    s = 3.0 * v * v - 2.0 * v ** 3
+    w = 0.5 * gw * 6.0 * v * (1.0 - v)
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w, np.sum(w)
+
+
+def _grid_probs(grid: str) -> np.ndarray:
+    """The probabilities of grid "probes" or "nodes" (the rule's)."""
+    return _PROBES if grid == "probes" else _rule()[0]
+
+
+@lru_cache(maxsize=64)
+def _base_quantiles(base: pk.DistKind, grid: str) -> np.ndarray:
+    # shared by every base-mapped CD on this base
+    q = pk.quantile(base, _grid_probs(grid))
+    q.setflags(write=False)
+    return q
+
+
+def _quantiles(cd: ConfidenceDistribution, grid: str) -> np.ndarray:
+    """cd_quantile(cd, _grid_probs(grid)); base-mapped family CDs map cached base quantiles."""
+    row = None if cd.family is None else _FAMILIES[cd.family.name]
+    if row is None or row.from_base is None:
+        return np.asarray(cd_quantile(cd, _grid_probs(grid)), dtype=float)
+    # the CD's own quantile_fn, on cached base quantiles
+    p = cd.family.params
+    return row.from_base(_base_quantiles(row.base(**p), grid), **p)
 
 
 def _integrability_check(probes) -> None:
@@ -129,28 +166,29 @@ def _integrability_check(probes) -> None:
         )
 
 
+def _expect(cd: ConfidenceDistribution, f, probes) -> float:
+    """Integral of f(x) dH(x) by the rule, f taking an array of quantiles.
+    ``probes``, ``_quantiles(cd, "probes")``, reject a CD with mass far out
+    in its tails before the node quantiles are read."""
+    _integrability_check(probes)
+    _, w, w_sum = _rule()
+    return float(np.dot(f(_quantiles(cd, "nodes")), w) / w_sum)
+
+
 def cd_mean(cd: ConfidenceDistribution) -> float:
     """The CD mean, integral of t dH(t).
 
-    Sample and grid representations integrate exactly; analytic ones use
-    1024-point midpoint quadrature in the quantile domain under the cubic
-    map s = 3v^2 - 2v^3, which flattens integrable endpoint singularities.
+    Sample and grid representations integrate exactly, a grid counting the
+    masses on its end knots; analytic ones read the expectation rule at its
+    2048 quantile-domain nodes, on cached base quantiles when base-mapped.
     """
     if cd.kind == "sample":
         return float(np.dot(cd.atoms, cd.weights))
     if cd.kind == "grid":
-        dv = np.diff(cd.values)
-        mids = 0.5 * (cd.theta[:-1] + cd.theta[1:])
-        total = float(np.sum(dv))
-        if total <= 0.0:
-            raise NonintegrableCdError("grid CD carries no mass")
-        return float(np.dot(dv, mids) / total)
-    _integrability_check(_probe_quantiles(cd))
-    v = (np.arange(_MEAN_POINTS) + 0.5) / _MEAN_POINTS
-    s = 3.0 * v * v - 2.0 * v ** 3
-    w = 6.0 * v * (1.0 - v)
-    q = np.asarray(cd_quantile(cd, s), dtype=float)
-    return float(np.dot(q, w) / np.sum(w))
+        th, va = cd.theta, cd.values
+        mids = 0.5 * (th[:-1] + th[1:])
+        return float(va[0] * th[0] + np.dot(np.diff(va), mids) + (1.0 - va[-1]) * th[-1])
+    return _expect(cd, lambda q: q, _quantiles(cd, "probes"))
 
 
 def cd_mode(cd: ConfidenceDistribution) -> float:
@@ -192,12 +230,12 @@ def _ccf(cd: ConfidenceDistribution, x: float) -> float:
 
 def _interval_supports(cd, region, weak=True) -> list:
     """(strong, weak) support of each interval of the region, each finite end
-    read once; weak=False skips the median and leaves weak None."""
+    read once and an infinite end by its sign (H(-inf) = 0, H(inf) = 1);
+    weak=False skips the median and leaves weak None."""
     med = cd_median(cd) if weak else None
     parts = []
     for lo, hi in region.intervals:
-        bot = cd_eval(cd, lo) if math.isfinite(lo) else 0.0
-        top = cd_eval(cd, hi) if math.isfinite(hi) else 1.0
+        bot, top = (cd_eval(cd, x) if math.isfinite(x) else float(x > 0.0) for x in (lo, hi))
         w = None
         if weak:
             # the curve 2 min(H, 1-H) rises to the median then falls, so the

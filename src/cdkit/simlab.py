@@ -126,6 +126,10 @@ class CdGenerator:
                 f"constructor {self.constructor!r} is not supported for {self.model!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
+        if not math.isfinite(self.theta0):
+            raise ConfigError(f"theta0 must be finite, got {self.theta0!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.master_seed!r}")
         if self.model == "normal-variance" and not self.theta0 > 0.0:
             raise ConfigError("variance theta0 must be positive")
         if self.model == "exponential-rate" and not self.theta0 > 0.0:
@@ -153,7 +157,9 @@ class CdGenerator:
         sigma = value("sigma", float, 1.0)
         if not (sigma > 0.0 and math.isfinite(sigma)):
             raise ConfigError(f"params.sigma must be positive and finite, got {sigma!r}")
-        value("mean", float, 0.0)
+        mean = value("mean", float, 0.0)
+        if not math.isfinite(mean):
+            raise ConfigError(f"params.mean must be finite, got {mean!r}")
         for key, default, floor in (("B", 1000, _MIN_RESAMPLES), ("grid_size", 256, _MIN_GRID)):
             size = value(key, int, default)
             if size < floor:
@@ -310,6 +316,8 @@ def calibrate(gen: CdGenerator, reps: int, levels=_DEFAULT_LEVELS) -> Calibratio
     """reps seeded (data, CD) draws, u-values, KS, coverage, median check."""
     if reps < 100:
         raise ConfigError("calibration needs reps >= 100")
+    if not all(0.0 < lv < 1.0 for lv in levels):
+        raise ConfigError(f"levels must lie in (0, 1), got {list(levels)}")
     rows = map_indexed(lambda i: _replicate_summary(gen, i, levels), reps)
     kept = [row for row in rows if row is not None]
     failures = reps - len(kept)

@@ -314,6 +314,19 @@ def test_transform_keeps_the_tails_of_an_unbounded_cd(g, direction, g_inverse, s
     assert cd_eval(out, np.array([lo - 1.0, lo, hi, hi + 1.0])).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("g, direction", [(lambda t: 2.0 * t + 1.0, "increasing"),
+                                          (lambda t: -t, "decreasing")])
+def test_transform_of_a_grid_keeps_its_end_masses(g, direction):
+    # a materialized grid holds 1e-4 on each end knot
+    grid = materialize(location_scale_cd(Normal(), 0.0, 1.0))
+    out = transform_cd(grid, g, direction)
+    for s in (5e-5, 1.0 - 5e-5):  # each end knot's image, where H steps by 1e-4
+        assert cd_eval(out, cd_quantile(out, s)) >= s
+    lo = cd_quantile(out, 5e-5)
+    assert cd_eval(out, lo) == pytest.approx(1e-4, rel=1e-9)
+    assert cd_eval(out, lo - 1e-9) == 0.0
+
+
 def test_transform_sample_maps_atoms_exactly():
     cd = sample_cd([1.0, 2.0], [0.3, 0.7])
     out = transform_cd(cd, lambda t: -t, "decreasing")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -283,6 +284,34 @@ class TestCalibrate:
         assert code == 1
         assert err.startswith("InsufficientDataError: only 0 usable replicates of 100")
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"theta0": math.nan}, "theta0"),
+        ({"theta0": math.inf}, "theta0"),
+        ({"theta0": -math.inf}, "theta0"),
+        ({"model": "normal-mean-unknown-sigma", "theta0": math.nan}, "theta0"),
+        ({"model": "normal-mean-unknown-sigma", "theta0": -math.inf}, "theta0"),
+        ({"model": "normal-variance", "theta0": math.inf}, "theta0"),
+        ({"model": "exponential-rate", "theta0": math.inf}, "theta0"),
+        ({"seed": -1}, "seed"),
+        ({"model": "normal-variance", "theta0": 1.0, "params": {"mean": math.nan}},
+         "params.mean"),
+        ({"model": "normal-variance", "theta0": 1.0, "params": {"mean": -math.inf}},
+         "params.mean"),
+        ({"levels": [0.9, 1.5]}, "levels"),
+        ({"levels": [0.0]}, "levels"),
+        ({"levels": [math.nan]}, "levels"),
+    ])
+    def test_bad_config_fails_before_any_replicate(self, capsys, tmp_path, monkeypatch,
+                                                   overrides, key):
+        draws = []
+        draw = CdGenerator.draw_data
+        monkeypatch.setattr(CdGenerator, "draw_data",
+                            lambda gen, i: draws.append(i) or draw(gen, i))
+        code, stdout, err = _run(capsys, ["calibrate", "--config",
+                                          self._config(tmp_path, **overrides)])
+        assert (code, stdout, draws) == (2, "", [])
+        assert err.startswith(f"config error: {key} must")
+
     def test_too_few_resamples_is_config_error(self, capsys, tmp_path):
         cfg = self._config(tmp_path, model="normal-mean-unknown-sigma",
                            constructor="bootstrap-t", reps=100,
@@ -451,6 +480,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "estimates" in json.loads(proc.stdout)
+
+    def test_bad_config_exits_two_through_main(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"model": "normal-mean-known-sigma", "constructor": "pivot",
+                                    "n": 20, "theta0": math.nan, "seed": 1, "reps": 100}))
+        proc = subprocess.run([sys.executable, "-m", "cdkit.cli", "calibrate",
+                               "--config", str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: theta0 must be finite")
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

@@ -19,8 +19,6 @@ from cdkit.cd_core import (
     sample_cd,
 )
 from cdkit.compare import (
-    _grid_probs,
-    _grid_quantiles,
     Absolute,
     LossSpec,
     RiskSpec,
@@ -48,7 +46,7 @@ from cdkit.errors import (
     PairingError,
     ParameterDomainError,
 )
-from cdkit.inference import _probe_quantiles
+from cdkit.inference import _PROBES, _grid_probs, _quantiles
 from cdkit.simlab import CdGenerator
 
 THETA0 = 0.0
@@ -169,9 +167,8 @@ class TestDispersionFastPath:
     @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)
     def test_probes_are_the_map_of_base_quantiles(self, cd):
         # the four probes sample_dispersion reads first come off the base cache
-        assert np.array_equal(_grid_quantiles(cd, "probes"), _probe_quantiles(cd))
-        assert np.array_equal(_grid_quantiles(cd, "dispersion"),
-                              cd_quantile(cd, _grid_probs("dispersion")))
+        assert np.array_equal(_quantiles(cd, "probes"), cd_quantile(cd, _PROBES))
+        assert np.array_equal(_quantiles(cd, "nodes"), cd_quantile(cd, _grid_probs("nodes")))
 
     @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)
     def test_quantile_is_the_map_of_base_quantiles(self, cd):

@@ -1,12 +1,12 @@
 """Family specs, the CD contract under property tests, and lossless CD files.
 
-Every family spec, grid CD, sample CD and monotone transform of a family or
-sample CD must satisfy the generalized-inverse identities H(Q(s)) >= s and
-Q(H(x)) <= x, have a nondecreasing H, give strong support no larger than weak
-support, and reload from its file as the same CD (a transformed analytic CD,
-which has no spec, as its materialized grid).  Family and transformed CDs
-meet the inverse identities to rounding (a relative 1e-9) and grid CDs to the
-rounding of theta.  Sample CDs, every bootstrap CD among them, meet
+Every family spec, grid CD, sample CD and monotone transform of one must
+satisfy the generalized-inverse identities H(Q(s)) >= s and Q(H(x)) <= x,
+have a nondecreasing H, give strong support no larger than weak support, and
+reload from its file as the same CD (a transformed analytic CD, which has no
+spec, as its materialized grid).  Family CDs and their transforms meet the
+inverse identities to rounding (a relative 1e-9), and grid CDs and their
+transforms to the rounding of theta.  Sample CDs, every bootstrap CD among them, meet
 Q(H(x)) <= x exactly and H(Q(s)) >= s - 1e-12: their quantile rule stops at
 the first atom whose H reaches s - 1e-12, so that a probability one rounding
 off a multiple of 1/n lands on its atom.
@@ -97,19 +97,25 @@ MAPS = [(lambda t: 2.0 * t + 1.0, "increasing", lambda y: (y - 1.0) / 2.0),
 
 @st.composite
 def transformed_cds(draw):
-    """Monotone transforms of family and sample CDs, with and without g^{-1}.
-    The direction spot check needs g(Q(0.001)) < g(Q(0.999)) after rounding.
-    Grids are left out: a transform is an analytic CD, whose H is 0 at its
-    lower support edge, so it drops the mass a grid keeps on an end knot."""
+    """Monotone transforms of family, grid and sample CDs, with and without
+    g^{-1}.  The direction spot check needs g(Q(0.001)) < g(Q(0.999)) after
+    rounding.  A transformed grid keeps its grid in ``meta``, for the
+    tolerance of the inverse identities."""
     spread = sample_cds().filter(
         lambda cd: cd_quantile(cd, 0.999) - cd_quantile(cd, 0.001) > 1e-6)
-    base = draw(st.one_of(SPECS.map(family_cd), spread))
+    grids = grid_cds().map(lambda cd: grid_cd(cd.theta, cd.values, meta={"grid": cd}))
+    base = draw(st.one_of(SPECS.map(family_cd), grids, spread))
     g, direction, g_inverse = draw(st.sampled_from(MAPS))
     return transform_cd(base, g, direction, g_inverse if draw(st.booleans()) else None)
 
 
 CDS = st.one_of(SPECS.map(family_cd), grid_cds(), sample_cds(), transformed_cds())
 PROBS = st.lists(_reals(1e-6, 1.0 - 1e-6), min_size=1, max_size=20)
+
+
+def _grid_under(cd):
+    """The grid whose knots round cd's theta: cd itself or the grid it transforms."""
+    return cd if cd.kind == "grid" else cd.meta.get("grid")
 
 
 def _span(cd):
@@ -125,10 +131,10 @@ class TestContract:
     def test_h_of_q_is_at_least_s(self, cd, probs):
         s = np.array(probs)
         q = cd_quantile(cd, s)
-        if cd.kind == "analytic":
-            assert np.all(cd_eval(cd, q) >= s * (1.0 - _ROUNDING))
-        elif cd.kind == "grid":  # Q(s) is rounded to a float in theta
+        if _grid_under(cd) is not None:  # Q(s) is rounded to a float in theta
             assert np.all(cd_eval(cd, q + 1e-12 * (1.0 + np.abs(q))) >= s)
+        elif cd.kind == "analytic":
+            assert np.all(cd_eval(cd, q) >= s * (1.0 - _ROUNDING))
         else:
             assert np.all(cd_eval(cd, q) >= s - 1e-12)
 
@@ -143,13 +149,15 @@ class TestContract:
         x = lo + fractions * (hi - lo)
         h = cd_eval(cd, x)
         inside = (h > 0.0) & (h < 1.0)
-        if cd.kind == "analytic":
-            slack = _ROUNDING * (hi - lo)
-        elif cd.kind == "grid":
+        grid = _grid_under(cd)
+        if grid is not None:
             # H is exact to an ulp of 1, which the flattest rising segment
-            # turns into ulp / slope in theta
-            rise = np.diff(cd.values) / np.diff(cd.theta)
-            slack = 4.0 * np.finfo(float).eps / rise[rise > 0.0].min() + 1e-12 * (1.0 + np.abs(x))
+            # turns into ulp / slope in theta; every map in MAPS has |g'| <= 2
+            rise = np.diff(grid.values) / np.diff(grid.theta)
+            slack = ((1.0 if grid is cd else 2.0) * 4.0 * np.finfo(float).eps
+                     / rise[rise > 0.0].min() + 1e-12 * (1.0 + np.abs(x)))
+        elif cd.kind == "analytic":
+            slack = _ROUNDING * (hi - lo)
         else:
             slack = 0.0
         assert np.all(cd_quantile(cd, h[inside]) <= (x + slack)[inside])

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from cdkit import inference
-from cdkit.cd_core import cd_eval, grid_cd, location_scale_cd, sample_cd
+from cdkit.cd_core import FamilySpec, cd_eval, family_cd, grid_cd, location_scale_cd, sample_cd
 from cdkit.constructors import DataSample, normal_mean_cd, normal_variance_cd
 from cdkit.errors import (
     NonintegrableCdError,
@@ -80,6 +81,35 @@ class TestPointEstimators:
         cd = grid_cd([0.0, 1.0, 3.0], [0.0, 0.5, 1.0])
         # uniform mass on each segment: 0.5 * 0.5 + 0.5 * 2.0
         assert cd_mean(cd) == pytest.approx(1.25, abs=1e-15)
+
+    def test_grid_mean_counts_the_end_masses(self):
+        # 0.2 on knot 0, then 0.8 spread evenly over [0, 1]
+        assert cd_mean(grid_cd([0.0, 1.0], [0.2, 1.0])) == pytest.approx(0.4, abs=1e-15)
+        assert cd_mean(grid_cd([0.0, 1.0], [0.0, 0.9])) == pytest.approx(0.55, abs=1e-15)
+
+    @pytest.mark.parametrize("cd, want", [
+        (family_cd(FamilySpec("inverse-chi2-scale", {"df": 4.0, "scale_ssq": 3.7})), 3.7 / 2.0),
+        (family_cd(FamilySpec("inverse-chi2-scale", {"df": 10.0, "scale_ssq": 12.5})),
+         12.5 / 8.0),
+        (family_cd(FamilySpec("chi2-rate", {"n": 5, "total": 2.5})), 5 / 2.5),
+        (family_cd(FamilySpec("chi2-rate", {"n": 30, "total": 17.0})), 30 / 17.0),
+        (location_scale_cd(StudentT(3.0), 1.7, 0.4), 1.7),
+        (location_scale_cd(StudentT(19.0), -2.2, 1.3), -2.2),
+        (location_scale_cd(Normal(), 0.35, 0.05), 0.35),
+    ], ids=["inv-chi2-df4", "inv-chi2-df10", "chi2-rate-n5", "chi2-rate-n30", "t3", "t19",
+            "normal"])
+    def test_analytic_mean_matches_the_closed_form(self, cd, want):
+        # scale_ssq / (df - 2), n / total, and the location
+        assert cd_mean(cd) == pytest.approx(want, rel=1e-9)
+
+    def test_the_tabulated_rule_is_gauss_legendre_at_2048(self):
+        # scipy builds the rule in 0.15 s; the table mirrors its positive half
+        x, gw = roots_legendre(2048)
+        v = 0.5 * (x + 1.0)
+        s, w, w_sum = inference._rule()
+        np.testing.assert_allclose(s, 3.0 * v * v - 2.0 * v ** 3, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, 3.0 * gw * v * (1.0 - v), rtol=1e-12)
+        assert w_sum == pytest.approx(1.0, abs=1e-12)
 
     def test_heavy_tailed_mean_rejected(self):
         cauchy = location_scale_cd(StudentT(1.0), 0.0, 1.0)
@@ -234,6 +264,13 @@ class TestSupportReport:
             assert [c["p_w"] for c in report.per_component] == weaks
             assert report.p_s == float(np.clip(sum(masses), 0.0, 1.0))
             assert (report.p_w, report.p_s_star) == (max(weaks), max(masses))
+
+    @pytest.mark.parametrize("end", [-math.inf, math.inf])
+    def test_an_infinite_point_interval_carries_no_support(self, end):
+        # H(-inf) = 0 and H(inf) = 1, whichever end of the interval they close
+        report = support_report(location_scale_cd(Normal(0.0, 1.0), 0.0, 1.0),
+                                NullRegion.from_intervals([(end, end)]))
+        assert (report.p_s, report.p_s_star, report.p_w) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("region, evals, quantiles", [
         (NullRegion.from_intervals([(-2.0, -0.5), (1.0, 2.0)]), 4, 1),

@@ -51,6 +51,7 @@ class TestGeneratorConfig:
         ({"sigma": "wide"}, "params.sigma must be a number"),
         ({"B": None}, "params.B must be a number"),
         ({"Bee": 200}, "unknown params key 'Bee'"),
+        ({"mean": math.nan}, "params.mean must be finite"),
     ])
     def test_bad_params_are_config_errors_naming_the_key(self, params, message):
         with pytest.raises(ConfigError) as info:
