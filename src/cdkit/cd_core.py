@@ -17,10 +17,12 @@ whose H reaches s - 1e-12, so a probability one rounding off a multiple of
 
 The named exact CDs are family CDs.  A small frozen ``FamilySpec`` names a
 row of one table (location-scale over Normal or Student-t, inverse
-chi-square scale, Fisher z, chi-square rate) and holds its parameters;
-``family_cd`` binds the row's cdf, quantile, density and log tails to them
-and keeps the spec as ``cd.family``.  A family CD's file carries its spec,
-so it reloads as the same CD.
+chi-square scale, Fisher z, chi-square rate) and holds its parameters.  A
+row is a pivot: a base law G, the tail of G that H reads (``side``), a
+monotone map psi and its inverse, so H(x) is that tail of G at psi(x) and
+Q(s) = psi^-1(G's quantile of s on that side).  ``family_cd`` binds them and
+the row's density to the spec and keeps the spec as ``cd.family``.  A family
+CD's file carries its spec, so it reloads as the same CD.
 
 Every CSV file the toolkit writes or reads goes through ``write_table`` and
 ``read_table``: an optional header row over ``%.17g`` cells.
@@ -32,7 +34,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -167,102 +169,82 @@ def _chi2_pdf(df, x):
     return np.where(x > 0.0, out, 0.0)
 
 
-# base laws are rebuilt from the parameters on every call; these keep it cheap
-@lru_cache(maxsize=64)
-def _t_or_normal(df):
-    return pk.Normal() if df is None else pk.StudentT(df)
+def _positive(x):
+    return np.maximum(np.asarray(x, float), 1e-300)
 
 
-@lru_cache(maxsize=64)
-def _chi2(df):
-    return pk.ChiSquare(df)
-
-
-def _atanh(x):
-    return np.arctanh(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
-
-
-def _fisher_pivot(z, r, n):
-    """sqrt(n - 3) (z - atanh r): standard normal at z = atanh(theta)."""
-    return math.sqrt(n - 3.0) * (z - math.atanh(r))
+def _fisher_pivot(x, r, n):
+    """sqrt(n - 3) (atanh x - atanh r): standard normal at x = theta."""
+    return math.sqrt(n - 3.0) * (np.arctanh(np.clip(np.asarray(x, float), -1.0, 1.0))
+                                 - math.atanh(r))
 
 
 class _Row(NamedTuple):
-    """A family's domain, support and callables of (x or s, **params).  A
-    base-mapped row's quantile is from_base(pk.quantile(base(**params), s))."""
+    """A family as a pivot; each callable takes x or q, if any, then the
+    parameters.  H(x) = pk.cdf(base, to_base(x), side), P(base > to_base(x))
+    on side "upper", and Q(s) = from_base(pk.quantile(base, s, side))."""
 
     domain: str
     valid: Callable
     support: tuple
-    cdf: Callable
+    base: Callable
+    to_base: Callable
+    from_base: Callable
     density: Callable
-    log_tail: Callable
-    quantile: Optional[Callable] = None
-    base: Optional[Callable] = None
-    from_base: Optional[Callable] = None
+    side: str = "lower"
 
 
 _FAMILIES = {
     "location-scale": _Row(
         "scale > 0, and df > 0 unless None",
         lambda loc, scale, df: scale > 0.0 and (df is None or df > 0.0), _REAL_LINE,
-        cdf=lambda x, loc, scale, df: pk.cdf(_t_or_normal(df), (np.asarray(x, float) - loc) / scale),
+        base=lambda loc, scale, df: pk.Normal() if df is None else pk.StudentT(df),
+        to_base=lambda x, loc, scale, df: (np.asarray(x, float) - loc) / scale,
+        from_base=lambda q, loc, scale, df: loc + scale * q,
         density=lambda x, loc, scale, df: (_normal_pdf if df is None else partial(_t_pdf, df))(
-            (np.asarray(x, float) - loc) / scale) / scale,
-        log_tail=lambda x, side, loc, scale, df: pk.log_tail(
-            _t_or_normal(df), (float(x) - loc) / scale, side),
-        base=lambda loc, scale, df: _t_or_normal(df),
-        from_base=lambda q, loc, scale, df: loc + scale * q),
+            (np.asarray(x, float) - loc) / scale) / scale),
+    # H(x) = P(chi2_df > scale_ssq / x)
     "inverse-chi2-scale": _Row(
         "df > 0 and scale_ssq > 0",
         lambda df, scale_ssq: df > 0.0 and scale_ssq > 0.0, (0.0, math.inf),
-        cdf=lambda x, df, scale_ssq: np.where(np.asarray(x, float) > 0.0, _sp.chdtrc(
-            df, scale_ssq / np.maximum(np.asarray(x, float), 1e-300)), 0.0),
-        density=lambda x, df, scale_ssq: _chi2_pdf(
-            df, scale_ssq / np.maximum(np.asarray(x, float), 1e-300))
-        * scale_ssq / np.maximum(np.asarray(x, float), 1e-300) ** 2,
-        # H(x) = P(chi2_df >= scale_ssq / x): the tails swap sides
-        log_tail=lambda x, side, df, scale_ssq: pk.log_tail(
-            _chi2(df), scale_ssq / max(float(x), 1e-300),
-            "upper" if side == "lower" else "lower"),
-        quantile=lambda s, df, scale_ssq: scale_ssq / _sp.chdtri(df, np.asarray(s, dtype=float))),
+        base=lambda df, scale_ssq: pk.ChiSquare(df),
+        to_base=lambda x, df, scale_ssq: scale_ssq / _positive(x),
+        from_base=lambda q, df, scale_ssq: scale_ssq / q,
+        density=lambda x, df, scale_ssq: _chi2_pdf(df, scale_ssq / _positive(x))
+        * scale_ssq / _positive(x) ** 2,
+        side="upper"),
     "fisher-z": _Row(
         "|r| < 1 and n > 3",
         lambda r, n: abs(r) < 1.0 and n > 3.0, (-1.0, 1.0),
-        cdf=lambda x, r, n: _sp.ndtr(_fisher_pivot(_atanh(x), r, n)),
-        density=lambda x, r, n: _normal_pdf(_fisher_pivot(_atanh(x), r, n)) * math.sqrt(n - 3.0)
-        / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300),
-        log_tail=lambda x, side, r, n: float(_sp.log_ndtr(
-            (1.0 if side == "lower" else -1.0) * _fisher_pivot(math.atanh(float(x)), r, n))),
-        quantile=lambda s, r, n: np.tanh(math.atanh(r) + _sp.ndtri(np.asarray(s, dtype=float))
-                                         / math.sqrt(n - 3.0))),
+        base=lambda r, n: pk.Normal(),
+        to_base=_fisher_pivot,
+        from_base=lambda q, r, n: np.tanh(math.atanh(r) + q / math.sqrt(n - 3.0)),
+        density=lambda x, r, n: _normal_pdf(_fisher_pivot(x, r, n)) * math.sqrt(n - 3.0)
+        / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300)),
     "chi2-rate": _Row(
         "n > 0 and total > 0",
         lambda n, total: n > 0.0 and total > 0.0, (0.0, math.inf),
-        cdf=lambda x, n, total: pk.cdf(_chi2(2.0 * n),
-                                       2.0 * total * np.maximum(np.asarray(x, float), 0.0)),
+        base=lambda n, total: pk.ChiSquare(2.0 * n),
+        to_base=lambda x, n, total: 2.0 * total * np.maximum(np.asarray(x, float), 0.0),
+        from_base=lambda q, n, total: q / (2.0 * total),
         density=lambda x, n, total: _chi2_pdf(2.0 * n, 2.0 * total * np.asarray(x, float))
-        * 2.0 * total,
-        log_tail=lambda x, side, n, total: pk.log_tail(_chi2(2.0 * n),
-                                                       2.0 * total * float(x), side),
-        base=lambda n, total: _chi2(2.0 * n),
-        from_base=lambda q, n, total: q / (2.0 * total)),
+        * 2.0 * total),
 }
 
 
 def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
-    """The analytic CD of a family spec: its table row's callables bound to the
-    spec's parameters.  ``cd.family`` keeps the spec; no other factory sets it."""
+    """The analytic CD of a family spec: H, Q and the log tails read the row's
+    base law through its pivot, bound to the spec's parameters, and the density
+    is the row's own.  ``cd.family`` keeps the spec; no other factory sets it."""
     row, p = _FAMILIES[spec.name], dict(spec.params)
-    if row.from_base is None:
-        quantile = lambda s: row.quantile(s, **p)
-    else:
-        base = row.base(**p)
-        quantile = lambda s: row.from_base(pk.quantile(base, s), **p)
-    cd = analytic_cd(lambda x: row.cdf(x, **p), row.support, quantile_fn=quantile,
+    base, side = row.base(**p), row.side
+    other = "upper" if side == "lower" else "lower"
+    psi = partial(row.to_base, **p)
+    cd = analytic_cd(lambda x: pk.cdf(base, psi(x), side), row.support,
+                     quantile_fn=lambda s: row.from_base(pk.quantile(base, s, side), **p),
                      density_fn=lambda x: row.density(x, **p),
-                     log_cdf_fn=lambda x: row.log_tail(x, "lower", **p),
-                     log_sf_fn=lambda x: row.log_tail(x, "upper", **p), meta=meta)
+                     log_cdf_fn=lambda x: pk.log_tail(base, psi(x), side),
+                     log_sf_fn=lambda x: pk.log_tail(base, psi(x), other), meta=meta)
     object.__setattr__(cd, "family", spec)
     return cd
 
@@ -447,17 +429,21 @@ def cd_density(cd: ConfidenceDistribution, x):
 
 
 def cd_log_lower(cd: ConfidenceDistribution, x: float) -> float:
-    """log H(x), exact in deep tails when the CD carries a log-CDF hook."""
+    """log H(x), exact in deep tails when the CD carries a log-CDF hook; -inf
+    at and below the support, 0 at and above it, as H is 0 and 1 there."""
     if cd.kind == "analytic" and cd.log_cdf_fn is not None:
-        return float(cd.log_cdf_fn(float(x)))
+        lo, hi = cd.support
+        return -math.inf if x <= lo else 0.0 if x >= hi else float(cd.log_cdf_fn(float(x)))
     p = cd_eval(cd, x)
     return math.log(p) if p > 0.0 else -math.inf
 
 
 def cd_log_upper(cd: ConfidenceDistribution, x: float) -> float:
-    """log(1 - H(x)), exact in deep tails when the CD carries a log-SF hook."""
+    """log(1 - H(x)), exact in deep tails when the CD carries a log-SF hook;
+    0 at and below the support, -inf at and above it."""
     if cd.kind == "analytic" and cd.log_sf_fn is not None:
-        return float(cd.log_sf_fn(float(x)))
+        lo, hi = cd.support
+        return 0.0 if x <= lo else -math.inf if x >= hi else float(cd.log_sf_fn(float(x)))
     p = cd_eval(cd, x)
     return math.log1p(-p) if p < 1.0 else -math.inf
 

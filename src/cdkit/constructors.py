@@ -4,8 +4,9 @@ The general recipe: if psi(data, theta) has a known law G free of theta and
 is monotone in theta, substituting theta -> x gives the CD
 H(x) = G(psi(data, x)) when psi increases in theta, and 1 - G(psi(data, x))
 when it decreases.  The named constructors below are closed-form instances:
-each returns a family CD (see :mod:`cdkit.cd_core`), whose spec supplies
-exact quantiles, densities, and log-space tails.
+each returns a family CD, a row of the family table in :mod:`cdkit.cd_core`
+that holds this recipe as data (the base law G, the tail of G that H reads,
+psi and its inverse), so its quantiles and log-space tails are exact.
 """
 
 from __future__ import annotations

@@ -138,21 +138,20 @@ def _grid_probs(grid: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _base_quantiles(base: pk.DistKind, grid: str) -> np.ndarray:
-    # shared by every base-mapped CD on this base
-    q = pk.quantile(base, _grid_probs(grid))
+def _base_quantiles(base: pk.DistKind, side: str, grid: str) -> np.ndarray:
+    # shared by every family CD on this base law and tail
+    q = pk.quantile(base, _grid_probs(grid), side)
     q.setflags(write=False)
     return q
 
 
 def _quantiles(cd: ConfidenceDistribution, grid: str) -> np.ndarray:
-    """cd_quantile(cd, _grid_probs(grid)); base-mapped family CDs map cached base quantiles."""
-    row = None if cd.family is None else _FAMILIES[cd.family.name]
-    if row is None or row.from_base is None:
+    """cd_quantile(cd, _grid_probs(grid)); a family CD maps cached base quantiles,
+    as its own quantile_fn does."""
+    if cd.family is None:
         return np.asarray(cd_quantile(cd, _grid_probs(grid)), dtype=float)
-    # the CD's own quantile_fn, on cached base quantiles
-    p = cd.family.params
-    return row.from_base(_base_quantiles(row.base(**p), grid), **p)
+    row, p = _FAMILIES[cd.family.name], cd.family.params
+    return row.from_base(_base_quantiles(row.base(**p), row.side, grid), **p)
 
 
 def _integrability_check(probes) -> None:
@@ -180,7 +179,7 @@ def cd_mean(cd: ConfidenceDistribution) -> float:
 
     Sample and grid representations integrate exactly, a grid counting the
     masses on its end knots; analytic ones read the expectation rule at its
-    2048 quantile-domain nodes, on cached base quantiles when base-mapped.
+    2048 quantile-domain nodes, on cached base quantiles for a family CD.
     """
     if cd.kind == "sample":
         return float(np.dot(cd.atoms, cd.weights))

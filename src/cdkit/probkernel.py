@@ -124,15 +124,24 @@ def _as_float_array(x):
 # ---------------------------------------------------------------------------
 # cdf / quantile
 
-def cdf(d: DistKind, x) -> float | np.ndarray:
-    """P(X <= x).  Accepts scalars or arrays; +-inf map to 1/0."""
+def _check_side(d: DistKind, side: str) -> None:
+    # only the inverse-chi2-scale family reads an upper cdf or quantile
+    if side != "lower" and (side != "upper" or not isinstance(d, ChiSquare)):
+        raise ParameterDomainError(f"side must be 'lower', or 'upper' for ChiSquare, got {side!r}")
+
+
+def cdf(d: DistKind, x, side: str = "lower") -> float | np.ndarray:
+    """P(X <= x), or P(X > x) for side='upper' (ChiSquare only).  Accepts
+    scalars or arrays; +-inf map to 1/0."""
+    _check_side(d, side)
     arr, scalar = _as_float_array(x)
     if isinstance(d, Normal):
         out = _sp.ndtr((arr - d.mean) / d.sd)
     elif isinstance(d, StudentT):
         out = _sp.stdtr(d.df, arr)
     elif isinstance(d, ChiSquare):
-        out = np.where(arr > 0.0, _sp.chdtr(d.df, np.maximum(arr, 0.0)), 0.0)
+        tail = _sp.chdtr if side == "lower" else _sp.chdtrc
+        out = np.where(arr > 0.0, tail(d.df, np.maximum(arr, 0.0)), float(side == "upper"))
     elif isinstance(d, Uniform01):
         out = np.clip(arr, 0.0, 1.0)
     else:
@@ -141,8 +150,10 @@ def cdf(d: DistKind, x) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
-def quantile(d: DistKind, p) -> float | np.ndarray:
-    """Inverse CDF for p strictly inside (0, 1)."""
+def quantile(d: DistKind, p, side: str = "lower") -> float | np.ndarray:
+    """Inverse CDF for p strictly inside (0, 1): the x with P(X <= x) = p, or
+    with P(X > x) = p for side='upper' (ChiSquare only)."""
+    _check_side(d, side)
     arr, scalar = _as_float_array(p)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("quantile requires probabilities strictly in (0, 1)")
@@ -151,7 +162,8 @@ def quantile(d: DistKind, p) -> float | np.ndarray:
     elif isinstance(d, StudentT):
         out = _sp.stdtrit(d.df, arr)
     elif isinstance(d, ChiSquare):
-        out = 2.0 * _sp.gammaincinv(d.df / 2.0, arr)  # not chdtri(df, 1 - p): 1 - p rounds
+        # each side inverts its own tail, not 1 - p, which rounds
+        out = 2.0 * (_sp.gammaincinv if side == "lower" else _sp.gammainccinv)(d.df / 2.0, arr)
     elif isinstance(d, Uniform01):
         out = arr.copy()
     else:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cdkit.compare as compare_module
+import cdkit.inference as inference_module
 import cdkit.probkernel as pk
 from cdkit.cd_core import (
     _FAMILIES,
@@ -39,14 +40,20 @@ from cdkit.compare import (
     square_psi,
     uniform_risk,
 )
-from cdkit.constructors import DataSample, exponential_rate_cd
+from cdkit.constructors import (
+    DataSample,
+    PairedSample,
+    exponential_rate_cd,
+    fisher_z_corr_cd,
+    normal_variance_cd,
+)
 from cdkit.errors import (
     ConfigError,
     NonintegrableCdError,
     PairingError,
     ParameterDomainError,
 )
-from cdkit.inference import _PROBES, _grid_probs, _quantiles
+from cdkit.inference import _PROBES, _grid_probs, _quantiles, cd_mean
 from cdkit.simlab import CdGenerator
 
 THETA0 = 0.0
@@ -132,13 +139,24 @@ def _exponential_cd(n, seed=17):
     return exponential_rate_cd(DataSample(np.random.default_rng(seed).exponential(0.5, n)))
 
 
+def _correlation_cd(n, rho, seed=23):
+    cov = [[1.0, rho], [rho, 1.0]]
+    pairs = np.random.default_rng(seed).multivariate_normal([0.0, 0.0], cov, n)
+    return fisher_z_corr_cd(PairedSample(pairs))
+
+
+# every row of the family table: location-scale (twice), chi2-rate (twice),
+# inverse-chi2-scale, which reads the upper chi-square tail, and fisher-z
 _BASE_MAPPED = [
     location_scale_cd(pk.Normal(), -1.3, 0.02),
     location_scale_cd(pk.StudentT(4), 12.5, 3.0),
     _exponential_cd(7),
     _exponential_cd(500, seed=3),
+    normal_variance_cd(DataSample(np.random.default_rng(5).normal(1.0, 2.0, 30))),
+    _correlation_cd(30, 0.8),
 ]
-_BASE_MAPPED_IDS = ["normal", "student-t", "exponential-n7", "exponential-n500"]
+_BASE_MAPPED_IDS = ["normal", "student-t", "exponential-n7", "exponential-n500",
+                    "normal-variance", "correlation"]
 
 
 class TestDispersionFastPath:
@@ -176,9 +194,21 @@ class TestDispersionFastPath:
         base = row.base(**params)
         to_cd = functools.partial(row.from_base, **params)
         s = np.random.default_rng(2024).uniform(1e-12, 1.0 - 1e-12, 4000)
-        assert np.array_equal(to_cd(pk.quantile(base, s)), cd_quantile(cd, s))
+        assert np.array_equal(to_cd(pk.quantile(base, s, row.side)), cd_quantile(cd, s))
         for si in s[:50]:
-            assert to_cd(pk.quantile(base, float(si))) == cd_quantile(cd, float(si))
+            assert to_cd(pk.quantile(base, float(si), row.side)) == cd_quantile(cd, float(si))
+
+    @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)
+    def test_a_second_mean_reads_no_quantiles(self, monkeypatch, cd):
+        # the first mean fills the base-quantile cache; every later one maps it
+        # and reads no quantile, neither of the base law nor of the CD
+        first = cd_mean(cd)
+        calls = []
+        for module, name in ((pk, "quantile"), (inference_module, "cd_quantile")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+        assert cd_mean(cd) == first
+        assert calls == []
 
 
 class TestMcDispersion:

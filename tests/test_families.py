@@ -52,14 +52,20 @@ def _spec(family, **params):
     return FamilySpec(family, params)
 
 
-SPECS = st.one_of(
-    st.builds(partial(_spec, "location-scale"), loc=_reals(-1e3, 1e3), scale=_reals(1e-3, 1e3),
-              df=st.one_of(st.none(), _reals(0.5, 300.0))),
+_LOC_SCALE = {"loc": _reals(-1e3, 1e3), "scale": _reals(1e-3, 1e3)}
+_T_DF = _reals(0.5, 300.0)
+_OTHER_ROWS = [
     st.builds(partial(_spec, "inverse-chi2-scale"), df=_reals(1.0, 500.0),
               scale_ssq=_reals(1e-3, 1e4)),
     st.builds(partial(_spec, "fisher-z"), r=_reals(-0.99, 0.99), n=st.integers(4, 5000)),
     st.builds(partial(_spec, "chi2-rate"), n=st.integers(1, 2000), total=_reals(1e-3, 1e4)),
-)
+]
+SPECS = st.one_of(st.builds(partial(_spec, "location-scale"), **_LOC_SCALE,
+                            df=st.one_of(st.none(), _T_DF)), *_OTHER_ROWS)
+# the same specs, one strategy per row of the family table and per
+# location-scale base law (Normal, then Student-t)
+ROW_SPECS = [st.builds(partial(_spec, "location-scale"), **_LOC_SCALE, df=df)
+             for df in (st.none(), _T_DF)] + _OTHER_ROWS
 
 
 @st.composite
@@ -210,26 +216,31 @@ class TestFamilySpecs:
         assert cd.kind == "analytic" and cd.family == spec
         assert analytic_cd(cd.cdf_fn, cd.support, quantile_fn=cd.quantile_fn).family is None
 
-    @given(SPECS.filter(lambda f: _FAMILIES[f.name].from_base is not None), PROBS)
+    @given(SPECS, PROBS)
     def test_mapped_rows_take_quantiles_from_the_base_law(self, spec, probs):
         s, row, p = np.array(probs), _FAMILIES[spec.name], spec.params
-        want = row.from_base(pk.quantile(row.base(**p), s), **p)
+        want = row.from_base(pk.quantile(row.base(**p), s, row.side), **p)
         assert np.array_equal(cd_quantile(family_cd(spec), s), want)
 
-    @pytest.mark.parametrize("spec", [
-        _spec("location-scale", loc=0.3, scale=0.5, df=None),
-        _spec("location-scale", loc=-1.0, scale=2.0, df=6),
-        _spec("inverse-chi2-scale", df=11.0, scale_ssq=7.5), _spec("fisher-z", r=0.4, n=25),
-        _spec("chi2-rate", n=12, total=6.5)])
-    def test_callables_agree_with_the_cdf(self, spec):
-        cd = family_cd(spec)
+    @pytest.mark.parametrize("spec", ROW_SPECS)  # a strategy: each row gets its own examples
+    @given(data=st.data())
+    def test_callables_agree_with_the_cdf(self, spec, data):
+        cd = family_cd(data.draw(spec))
         x = np.asarray(cd_quantile(cd, np.array([0.05, 0.3, 0.5, 0.8, 0.97])))
         h = cd_eval(cd, x)
-        for xi, hi in zip(x, h):
-            assert abs(np.exp(cd_log_lower(cd, xi)) - hi) < 1e-12
-            assert abs(np.exp(cd_log_upper(cd, xi)) - (1.0 - hi)) < 1e-12
+        lo, hi = cd.support
+        # at and beyond the support's edges H is 0 or 1 and its log tails exact
+        below, above = [lo, lo - 1.0, -np.inf], [hi, hi + 1.0, np.inf]
+        for xi in below:
+            assert (cd_log_lower(cd, xi), cd_log_upper(cd, xi)) == (-np.inf, 0.0)
+        for xi in above:
+            assert (cd_log_lower(cd, xi), cd_log_upper(cd, xi)) == (0.0, -np.inf)
+        for xi, hx in zip([*x, *below, *above], [*h, *cd_eval(cd, below), *cd_eval(cd, above)]):
+            assert abs(np.exp(cd_log_lower(cd, xi)) - hx) < 1e-12
+            assert abs(np.exp(cd_log_upper(cd, xi)) - (1.0 - hx)) < 1e-12
         step = 1e-6 * (x[-1] - x[0])
-        slope = (cd_eval(cd, x + step) - cd_eval(cd, x - step)) / (2.0 * step)
+        left, right = x - step, x + step  # the step as rounded, far from 0
+        slope = (cd_eval(cd, right) - cd_eval(cd, left)) / (right - left)
         assert np.allclose(cd_density(cd, x), slope, rtol=1e-5)
 
     @pytest.mark.parametrize("make", [

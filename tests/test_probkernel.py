@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from cdkit.errors import ParameterDomainError
 from cdkit.probkernel import (
@@ -143,6 +144,32 @@ def test_chi2_quantile_vs_mp_in_the_lower_tail(df, p):
     mass = mp.gammainc(a, 0, xm / 2, regularized=True)
     density = mp.exp((a - 1) * mp.log(xm / 2) - xm / 2 - mp.loggamma(a)) / 2
     assert abs((mass - p) / density) <= 1e-13 * xm
+
+
+_UPPER_DFS = [*range(1, 60), 99, 199, 399, 2.5, 7.3, 1e4, 0.3]
+
+
+@pytest.mark.parametrize("df", _UPPER_DFS)
+def test_chi2_upper_tail_is_scipys(df):
+    # the inverse-chi2-scale family reads these: H = chdtrc, Q = chdtri, bit for bit
+    rng = np.random.default_rng(int(df * 10))
+    p = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 500), rng.uniform(0.0, 1.0, 500),
+                        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 500),
+                        [1e-300, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 1e-16]])
+    p = p[(p > 0.0) & (p < 1.0)]
+    q = quantile(ChiSquare(df), p, "upper")
+    assert np.array_equal(q, special.chdtri(df, p))
+    assert np.array_equal(cdf(ChiSquare(df), q, "upper"), special.chdtrc(df, q))
+    assert quantile(ChiSquare(df), float(p[0]), "upper") == special.chdtri(df, p[0])
+
+
+@pytest.mark.parametrize("read", [cdf, quantile])
+@pytest.mark.parametrize("d,side", [(ChiSquare(3.0), "middle"), (ChiSquare(3.0), None),
+                                    (Normal(), "upper"), (StudentT(4.0), "upper"),
+                                    (Uniform01(), "upper"), (Normal(), "Lower")])
+def test_cdf_and_quantile_side_validation(read, d, side):
+    with pytest.raises(ParameterDomainError):
+        read(d, 0.5, side)
 
 
 def test_quantile_domain():
