@@ -22,10 +22,10 @@ row is a pivot: a base law G, the tail of G that H reads (``side``), a
 monotone map psi and its inverse, so H(x) is that tail of G at psi(x) and
 Q(s) = psi^-1(G's quantile of s on that side).  ``family_cd`` binds them and
 the row's density to the spec and keeps the spec as ``cd.family``.  A family
-CD's file carries its spec, so it reloads as the same CD.
+CD's file is its spec line alone, so it reloads as the same CD.
 
-Every CSV file the toolkit writes or reads goes through ``write_table`` and
-``read_table``: an optional header row over ``%.17g`` cells.
+Every other CSV file the toolkit writes or reads goes through ``write_table``
+and ``read_table``: an optional header row over ``%.17g`` cells.
 """
 
 from __future__ import annotations
@@ -590,14 +590,13 @@ def materialize(cd: ConfidenceDistribution, n_grid: int = 1025) -> ConfidenceDis
     return grid_cd(th, cd_eval(cd, th), meta=cd.meta)
 
 
-def write_table(path, header, columns, preamble="") -> None:
-    """Write a text table: ``preamble`` as is, a header row, then one row per
-    index of ``columns`` with each value formatted ``%.17g`` (an integer
-    prints as itself, a float reads back exactly).  Rows end in CRLF."""
+def write_table(path, header, columns) -> None:
+    """Write a text table: a header row, then one row per index of ``columns``
+    with each value formatted ``%.17g`` (an integer prints as itself, a float
+    reads back exactly).  Rows end in CRLF."""
     # a column at a time, on Python numbers: numpy scalars format slower
     cells = [[f"{v:.17g}" for v in np.asarray(col).tolist()] for col in columns]
     with open(path, "w", newline="") as fh:
-        fh.write(preamble)
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(zip(*cells))
@@ -631,24 +630,25 @@ _FAMILY_TAG = "# cdkit-family "
 
 
 def save_cd_csv(cd: ConfidenceDistribution, path) -> None:
-    """Write a grid CD as (theta, H) rows or a sample CD as (atom, weight) rows.
-
-    A family CD first writes its spec as one ``# cdkit-family {json}`` line,
-    then the rows of its materialized grid for readers that skip that line.
-    """
+    """Write a family CD as its spec, one ``# cdkit-family {json}`` line and
+    nothing else; a grid CD as (theta, H) rows, a sample CD as (atom, weight)
+    rows, and any other analytic CD as the rows of its materialized grid."""
+    if cd.family is not None:
+        # json writes floats as repr: they read back exactly
+        spec = json.dumps({"family": cd.family.name, **cd.family.params})
+        with open(path, "w", newline="") as fh:
+            fh.write(_FAMILY_TAG + spec + "\r\n")
+        return
     out = materialize(cd)
-    # json writes floats as repr: they read back exactly
-    preamble = "" if cd.family is None else (
-        _FAMILY_TAG + json.dumps({"family": cd.family.name, **cd.family.params}) + "\r\n")
     header, columns = ((["theta", "H"], [out.theta, out.values]) if out.kind == "grid"
                        else (["atom", "weight"], [out.atoms, out.weights]))
-    write_table(path, header, columns, preamble)
+    write_table(path, header, columns)
 
 
 def load_cd_csv(path) -> ConfidenceDistribution:
     """Reload a CD written by :func:`save_cd_csv`.
 
-    A ``# cdkit-family`` first line rebuilds the family CD from its spec
+    A ``# cdkit-family`` first line rebuilds the family CD from that line
     alone; otherwise the column header names the kind, grid or sample.
     """
     with open(path, newline="") as fh:

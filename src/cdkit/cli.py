@@ -2,8 +2,8 @@
 
 Every subcommand prints one JSON object to stdout that embeds the fully
 resolved options (defaults included), so a run can be reproduced from its own
-output.  Bad inputs exit 2 with a one-line diagnostic; numeric failures from
-the library exit 1 with the originating error.
+output.  Bad inputs exit 2 with a one-line ``config error``, raised where they
+are parsed; a numeric failure exits 1 with one line naming the error's class.
 """
 
 import argparse
@@ -59,29 +59,39 @@ def _read_matrix(path):
     return read_table(path)[1]
 
 
+def _parse(what, parse, text):
+    """parse(text); input it cannot parse is a ConfigError naming ``what``."""
+    try:
+        return parse(text)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _load_config(path) -> dict:
+    with open(path) as fh:
+        return _parse(path, json.load, fh)
+
+
 def _parse_sigma(text: str):
     if text == "unknown":
         return None
-    if text.startswith("known="):
-        value = float(text[len("known="):])
-        if not value > 0.0:
-            raise ConfigError("--sigma known value must be positive")
-        return value
-    raise ConfigError(f"--sigma must be 'unknown' or 'known=<value>', got {text!r}")
+    value = _parse("--sigma", float, text[len("known="):]) if text.startswith("known=") else 0.0
+    if not value > 0.0:
+        raise ConfigError(f"--sigma must be 'unknown' or 'known=<positive value>', got {text!r}")
+    return value
 
 
 def _parse_vector(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+    return _parse(f"expected comma-separated numbers, got {text!r}",
+                  lambda t: [float(tok) for tok in t.split(",") if tok.strip() != ""], text)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _point_estimates(cd) -> dict:
-    return {"median": cd_median(cd), "mean": cd_mean(cd), "mode": cd_mode(cd)}
+    mode = None if cd.kind == "sample" else cd_mode(cd)  # atoms have no density
+    return {"median": cd_median(cd), "mean": cd_mean(cd), "mode": mode}
 
 
 def _cmd_construct(args) -> dict:
@@ -126,7 +136,7 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_test(args) -> dict:
     cd = load_cd_csv(args.cd)
-    region = NullRegion.from_json(args.region)
+    region = _parse("--region", NullRegion.from_json, args.region)
     return {
         "command": "test",
         "config": {"cd": args.cd, "region": json.loads(args.region)},
@@ -135,11 +145,11 @@ def _cmd_test(args) -> dict:
 
 
 def _cmd_calibrate(args) -> dict:
-    with open(args.config) as fh:
-        obj = json.load(fh)
+    obj = _load_config(args.config)
     gen = generator_from_config(obj)
-    reps = int(obj.get("reps", 1000))
-    levels = tuple(float(lv) for lv in obj.get("levels", (0.5, 0.9, 0.95, 0.99)))
+    reps = _parse("reps", int, obj.get("reps", 1000))
+    levels = _parse("levels", lambda v: tuple(map(float, v)),
+                    obj.get("levels", (0.5, 0.9, 0.95, 0.99)))
     report = calibrate(gen, reps, levels)
     body = json.loads(report_to_json(report))
     body.pop("u_values", None)  # the raw array ships via --u-values only
@@ -158,10 +168,8 @@ def _cmd_calibrate(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
-    with open(args.config1) as fh:
-        gen1 = generator_from_config(json.load(fh))
-    with open(args.config2) as fh:
-        gen2 = generator_from_config(json.load(fh))
+    gen1 = generator_from_config(_load_config(args.config1))
+    gen2 = generator_from_config(_load_config(args.config2))
     theta0 = gen1.theta0 if args.theta0 is None else float(args.theta0)
     eps = _parse_vector(args.eps)
     result = paired_compare(gen1, gen2, theta0, eps, args.reps)
@@ -190,16 +198,13 @@ def _cmd_compare(args) -> dict:
 
 
 def _mv_config(args, **extra) -> dict:
-    base = {"cloud": args.cloud, "kind": args.kind, "directions": args.directions}
-    base.update(extra)
-    return base
-
-
-def _depth_spec(args) -> DepthSpec:
-    return DepthSpec(args.kind, directions=args.directions)
+    return {"cloud": args.cloud, "kind": args.kind, "directions": args.directions, **extra}
 
 
 def _cmd_mv(args) -> dict:
+    flag = "axis" if args.action == "project" else "point"
+    if getattr(args, flag) is None:
+        raise ConfigError(f"mv {args.action} needs --{flag}")
     mcd = load_cloud_csv(args.cloud)
     if args.action == "project":
         axis = _parse_vector(args.axis)
@@ -214,11 +219,12 @@ def _cmd_mv(args) -> dict:
                           for lv in _LEVELS},
         }
     point = _parse_vector(args.point)
+    spec = DepthSpec(args.kind, directions=args.directions)
     if args.action == "depth":
-        value = depth(_depth_spec(args), mcd.cloud, point)
+        value = depth(spec, mcd.cloud, point)
         return {"command": "mv", "action": "depth",
                 "config": _mv_config(args, point=point), "depth": value}
-    cf = centrality_fn(_depth_spec(args), mcd.cloud)
+    cf = centrality_fn(spec, mcd.cloud)
     if args.action == "centrality":
         return {"command": "mv", "action": "centrality",
                 "config": _mv_config(args, point=point),
@@ -292,25 +298,15 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "mv":
-        if args.action == "project" and args.axis is None:
-            print("config error: mv project needs --axis", file=sys.stderr)
-            return 2
-        if args.action != "project" and args.point is None:
-            print(f"config error: mv {args.action} needs --point", file=sys.stderr)
-            return 2
     try:
         payload = args.handler(args)
-    except (ConfigError, PairingError, ParameterDomainError) as exc:
+    except (ConfigError, PairingError, ParameterDomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CdkitError as exc:
-        # numeric failure inside the library; keep its name for the caller
+    except (CdkitError, ValueError, ArithmeticError) as exc:
+        # a numeric failure, after the input parsed; keep its name for the caller
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -188,7 +188,7 @@ def _t_log_upper_quad(df: float, a: float) -> float:
         return c - 0.5 * (df + 1.0) * s
 
     lam = (df + 1.0) * a / (df + a * a)  # local decay rate of the density at a
-    h = 1.0 / lam
+    h = 1.0 / lam if lam else (df / a + a) / (df + 1.0)  # lam is 0 once a * a overflows
     nodes, weights = gauss_legendre(64)
     total = -np.inf
     s_lo = 0.0

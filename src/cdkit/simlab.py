@@ -353,12 +353,14 @@ def generator_to_config(gen: CdGenerator) -> dict:
 
 def generator_from_config(obj: dict) -> CdGenerator:
     try:
-        return CdGenerator(model=obj["model"], constructor=obj["constructor"],
-                           n=int(obj["n"]), theta0=float(obj["theta0"]),
-                           master_seed=int(obj["seed"]),
-                           params=dict(obj.get("params", {})))
+        fields = dict(model=obj["model"], constructor=obj["constructor"], n=int(obj["n"]),
+                      theta0=float(obj["theta0"]), master_seed=int(obj["seed"]),
+                      params=dict(obj.get("params", {})))
     except KeyError as exc:
         raise ConfigError(f"experiment config is missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"experiment config: {exc}") from exc
+    return CdGenerator(**fields)
 
 
 def report_to_json(report: CalibrationReport) -> str:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from cdkit import cli
 from cdkit.cd_core import cd_quantile, load_cd_csv
 from cdkit.cli import run
 from cdkit.constructors import (
@@ -64,8 +65,8 @@ class TestConstruct:
         assert lo < 1.0 < hi
         assert body["config"]["sigma"] == "known=1"
         with open(out, newline="") as fh:
-            assert fh.readline().startswith("# cdkit-family {")
-            assert next(csv.reader(fh)) == ["theta", "H"]
+            lines = fh.readlines()
+        assert len(lines) == 1 and lines[0].startswith("# cdkit-family {")
 
     def test_headerless_data_and_unknown_sigma(self, capsys, tmp_path):
         data = tmp_path / "y.csv"
@@ -142,9 +143,30 @@ class TestEstimateAndTest:
 
     def test_bad_region_json(self, capsys, tmp_path, mean_one_csv):
         out, _ = _construct(capsys, tmp_path, mean_one_csv)
-        code, _, err = _run(capsys, ["test", "--cd", out, "--region", "{oops"])
-        assert code == 2
-        assert "config error:" in err
+        for region in ("{oops", '{"intervals": 5}', '{"intervals": [[0, 1, 2]]}'):
+            code, _, err = _run(capsys, ["test", "--cd", out, "--region", region])
+            assert code == 2
+            assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_numeric_failure_in_a_family_file_exits_one(self, capsys, tmp_path):
+        # the chi-square quantile is 0 at df 1e-300, and scale_ssq / 0 divides by zero
+        path = tmp_path / "cd.csv"
+        path.write_text('# cdkit-family {"family": "inverse-chi2-scale", "df": 1e-300, '
+                        '"scale_ssq": 1.0}\r\n')
+        code, stdout, err = _run(capsys, ["estimate", "--cd", str(path)])
+        assert (code, stdout) == (1, "")
+        assert err == "ZeroDivisionError: float division by zero\n"
+
+    def test_value_error_after_parsing_exits_one(self, capsys, tmp_path, mean_one_csv,
+                                                 monkeypatch):
+        out, _ = _construct(capsys, tmp_path, mean_one_csv)
+
+        def failing(cd):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(cli, "cd_mode", failing)
+        code, stdout, err = _run(capsys, ["estimate", "--cd", out])
+        assert (code, stdout, err) == (1, "", "ValueError: math domain error\n")
 
 
 def _dataset(tmp_path, model, sigma, seed=3):
@@ -312,6 +334,23 @@ class TestCalibrate:
         assert (code, stdout, draws) == (2, "", [])
         assert err.startswith(f"config error: {key} must")
 
+    @pytest.mark.parametrize("overrides", [
+        {"n": None}, {"seed": "one"}, {"params": [1.0]}, {"reps": "many"}, {"reps": 1e400},
+        {"levels": 0.9}, {"levels": ["high"]}])
+    def test_unparseable_config_is_config_error(self, capsys, tmp_path, overrides):
+        code, stdout, err = _run(capsys, ["calibrate", "--config",
+                                          self._config(tmp_path, **overrides)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{", '"model"'])
+    def test_config_that_is_not_an_object_is_config_error(self, capsys, tmp_path, text):
+        path = tmp_path / "cal.json"
+        path.write_text(text)
+        code, _, err = _run(capsys, ["calibrate", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_too_few_resamples_is_config_error(self, capsys, tmp_path):
         cfg = self._config(tmp_path, model="normal-mean-unknown-sigma",
                            constructor="bootstrap-t", reps=100,
@@ -419,6 +458,11 @@ class TestMv:
         assert set(body["intervals"]) == {"0.90", "0.95", "0.99"}
         reloaded = load_cd_csv(out)
         assert reloaded.atoms.size == 1000
+        # a sample CD has atoms, not a density: its mode is null
+        code, stdout, _ = _run(capsys, ["estimate", "--cd", out])
+        assert code == 0
+        estimates = json.loads(stdout)["estimates"]
+        assert estimates["mode"] is None and estimates["median"] == body["estimates"]["median"]
 
     def test_headerless_cloud_uses_every_row(self, capsys, tmp_path):
         cloud = np.random.default_rng(43).normal(size=(1001, 2))

@@ -191,6 +191,9 @@ class TestContract:
         path = tmp_path_factory.mktemp("cd") / "cd.csv"
         save_cd_csv(cd, path)
         back = load_cd_csv(path)
+        if cd.family is not None:  # the file is the spec line alone
+            body = path.read_bytes()
+            assert body.endswith(b"\r\n") and body.count(b"\n") == 1
         if cd.kind == "analytic" and cd.family is None:
             cd = materialize(cd)
         assert back.kind == cd.kind and back.family == cd.family
@@ -273,20 +276,22 @@ def _family_file(tmp_path, spec):
 
 
 class TestFamilyFiles:
-    def test_family_file_is_a_header_line_over_the_grid_file(self, tmp_path):
+    def test_spec_line_over_grid_rows_loads_as_the_family_cd(self, tmp_path):
+        # older files held the materialized grid's rows after the spec line
         cd = location_scale_cd(pk.StudentT(9), 1.5, 0.25)
         path = _family_file(tmp_path, cd.family)
         save_cd_csv(materialize(cd), tmp_path / "grid.csv")
-        first, rest = path.read_bytes().split(b"\r\n", 1)
-        assert first == (b'# cdkit-family {"family": "location-scale", "loc": 1.5, "scale": 0.25, '
-                         b'"df": 9.0}')
-        assert cd.family == _spec("location-scale", loc=1.5, scale=0.25, df=9)
-        assert rest == (tmp_path / "grid.csv").read_bytes()
+        (tmp_path / "old.csv").write_bytes(path.read_bytes() + (tmp_path / "grid.csv").read_bytes())
+        back = load_cd_csv(tmp_path / "old.csv")
+        assert back.family == cd.family == _spec("location-scale", loc=1.5, scale=0.25, df=9)
+        s = np.linspace(1e-6, 1.0 - 1e-6, 201)
+        x = cd_quantile(cd, s)
+        assert np.array_equal(cd_quantile(back, s), x)
+        assert np.array_equal(cd_eval(back, x), cd_eval(cd, x))
 
     def test_headerless_file_loads_as_the_grid(self, tmp_path):
         cd = family_cd(_spec("inverse-chi2-scale", df=14.0, scale_ssq=20.0))
-        path = _family_file(tmp_path, cd.family)
-        (tmp_path / "old.csv").write_bytes(path.read_bytes().split(b"\r\n", 1)[1])
+        save_cd_csv(materialize(cd), tmp_path / "old.csv")
         back = load_cd_csv(tmp_path / "old.csv")
         grid = materialize(cd)
         assert back.kind == "grid" and back.family is None

@@ -200,6 +200,10 @@ def test_normal_log_tail_vs_mills_oracle():
     (3.0, 1e120, -828.8329100388119),
     (1.0, 1e3, -8.052485498164726),
     (2.5, 50.0, -10.11045082776566),
+    # past a = 1.3e154, where a * a overflows
+    (0.5, 1e160, -185.3440535702952),
+    (1.0, 1e160, -369.55834476489673),
+    (5.0, 1e200, -2300.334836758232),
 ])
 def test_t_log_tail_deep(df, a, want):
     got = log_tail(StudentT(df), -a, "lower")
