@@ -34,7 +34,7 @@ import numpy as np
 
 from . import probkernel as pk
 from .cd_core import ConfidenceDistribution, sample_cd, write_table
-from .constructors import DataSample, hall_pivot_inverse
+from .constructors import DataSample, _hall_cubic, hall_pivot_inverse
 from .errors import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -213,7 +213,7 @@ def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistrib
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = (d * d * d).mean(axis=1) / sds ** 3
             t = rn * (means - center) / sds
-            piv = t + lam / (6.0 * rn) * (2.0 * t * t + 1.0) + lam * lam / (27.0 * n) * t ** 3
+            piv = _hall_cubic(t, lam, n)
         return piv, None
 
     rep = resample_block(data, plan, pivots)

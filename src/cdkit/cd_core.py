@@ -3,8 +3,12 @@
 A confidence distribution (CD) is a data-dependent CDF on the parameter
 space.  Three representations cover the toolkit:
 
-* ``analytic``: closed-form CDF callable, optionally with exact quantile,
-  density, and log-tail companions;
+* ``analytic``: a pivot.  A base law G from :mod:`cdkit.probkernel`, the
+  tail of G that H reads (``side``), a monotone map psi (``to_base``) and its
+  inverse (``from_base``): H(x) is that tail of G at psi(x), and
+  Q(s) = psi^-1(G's quantile of s on that side), psi^-1 by root finding on
+  psi when it is absent.  The log tails are G's at psi(x), exact far past double
+  underflow.  A bare CDF callable is the pivot on Uniform01 whose psi is H;
 * ``grid``: piecewise-linear CDF on strictly increasing knots, with any
   mass below the first knot value or above the last one on the end knots;
 * ``sample``: weighted atoms, evaluated as a right-continuous step CDF;
@@ -13,16 +17,17 @@ space.  Three representations cover the toolkit:
 All evaluators accept scalars or arrays.  Quantiles use the generalized
 inverse inf{x : H(x) >= s} throughout; a sample CD's stops at the first atom
 whose H reaches s - 1e-12, so a probability one rounding off a multiple of
-1/n (1 - 0.95 is not 0.05) still lands on its atom.
+1/n (1 - 0.95 is not 0.05) still lands on its atom.  A family CD's is psi^-1
+of the base quantile as it rounds; every other analytic CD's moves by ulps
+from there to the smallest double x with H(x) >= s.
 
 The named exact CDs are family CDs.  A small frozen ``FamilySpec`` names a
 row of one table (location-scale over Normal or Student-t, inverse
 chi-square scale, Fisher z, chi-square rate) and holds its parameters.  A
-row is a pivot: a base law G, the tail of G that H reads (``side``), a
-monotone map psi and its inverse, so H(x) is that tail of G at psi(x) and
-Q(s) = psi^-1(G's quantile of s on that side).  ``family_cd`` binds them and
-the row's density to the spec and keeps the spec as ``cd.family``.  A family
-CD's file is its spec line alone, so it reloads as the same CD.
+row is a pivot with a density; ``family_cd`` binds it to the spec and keeps
+the spec as ``cd.family``.  A family CD's file is its spec line alone, so it
+reloads as the same CD.  A monotone transform of a CD composes its pivot's
+maps with g, so its tails stay as exact as the CD's.
 
 Every other CSV file the toolkit writes or reads goes through ``write_table``
 and ``read_table``: an optional header row over ``%.17g`` cells.
@@ -73,19 +78,25 @@ __all__ = [
 ]
 
 _REAL_LINE = (-math.inf, math.inf)
+_OTHER_SIDE = {"lower": "upper", "upper": "lower"}
 
 
 @dataclass(frozen=True, eq=False)
 class ConfidenceDistribution:
-    """One CD in any of the three representations.  Build via the factories."""
+    """One CD in any of the three representations.  Build via the factories.
+
+    An analytic CD is the pivot (base, side, to_base, from_base): H(x) is
+    ``pk.cdf(base, to_base(x), side)`` and Q(s) is
+    ``from_base(pk.quantile(base, s, side))``, from_base by root finding on
+    to_base when it is None."""
 
     kind: str
     support: tuple[float, float]
-    cdf_fn: Optional[Callable] = None
-    quantile_fn: Optional[Callable] = None
+    base: Optional[pk.DistKind] = None
+    side: str = "lower"
+    to_base: Optional[Callable] = None
+    from_base: Optional[Callable] = None
     density_fn: Optional[Callable] = None
-    log_cdf_fn: Optional[Callable] = None
-    log_sf_fn: Optional[Callable] = None
     theta: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None  # H at the grid knots or at the sample atoms
     atoms: Optional[np.ndarray] = None
@@ -94,7 +105,7 @@ class ConfidenceDistribution:
     # the family spec, set only by family_cd; copies drop it
     family: Optional[FamilySpec] = field(default=None, init=False)
 
-    def __repr__(self):  # the payload arrays/callables are noise in logs
+    def __repr__(self):  # the payload arrays and callables are noise in a log line
         lo, hi = self.support
         return f"ConfidenceDistribution(kind={self.kind!r}, support=({lo:g}, {hi:g}))"
 
@@ -106,19 +117,22 @@ def _check_support(support) -> tuple[float, float]:
     return (lo, hi)
 
 
-def analytic_cd(cdf_fn, support=_REAL_LINE, *, quantile_fn=None, density_fn=None,
-                log_cdf_fn=None, log_sf_fn=None, meta=None) -> ConfidenceDistribution:
-    """Wrap a vectorized CDF callable (and optional exact companions)."""
-    return ConfidenceDistribution(
-        kind="analytic",
-        support=_check_support(support),
-        cdf_fn=cdf_fn,
-        quantile_fn=quantile_fn,
-        density_fn=density_fn,
-        log_cdf_fn=log_cdf_fn,
-        log_sf_fn=log_sf_fn,
-        meta=dict(meta or {}),
-    )
+def _pivot_cd(base, side, to_base, from_base, support, *, density_fn=None,
+              meta=None) -> ConfidenceDistribution:
+    return ConfidenceDistribution(kind="analytic", support=_check_support(support), base=base,
+                                  side=side, to_base=to_base, from_base=from_base,
+                                  density_fn=density_fn, meta=dict(meta or {}))
+
+
+def analytic_cd(cdf, support=_REAL_LINE, *, quantile=None, density=None,
+                meta=None) -> ConfidenceDistribution:
+    """An analytic CD from a vectorized CDF callable, with an optional exact
+    quantile and density: the pivot on Uniform01 whose map is H itself and
+    whose inverse is Q (root finding on H when Q is omitted).  Its log tails
+    are log H and log(1 - H); exact deep tails come from a base law, through
+    :func:`cdkit.constructors.from_pivot`."""
+    return _pivot_cd(pk.Uniform01(), "lower", cdf, quantile, support, density_fn=density,
+                     meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +194,8 @@ def _fisher_pivot(x, r, n):
 
 
 class _Row(NamedTuple):
-    """A family as a pivot; each callable takes x or q, if any, then the
-    parameters.  H(x) = pk.cdf(base, to_base(x), side), P(base > to_base(x))
-    on side "upper", and Q(s) = from_base(pk.quantile(base, s, side))."""
+    """A family as a pivot with its density; each callable takes x or q, if
+    any, then the parameters."""
 
     domain: str
     valid: Callable
@@ -233,18 +246,13 @@ _FAMILIES = {
 
 
 def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
-    """The analytic CD of a family spec: H, Q and the log tails read the row's
-    base law through its pivot, bound to the spec's parameters, and the density
-    is the row's own.  ``cd.family`` keeps the spec; no other factory sets it."""
+    """The analytic CD of a family spec: the row's pivot and density, bound to
+    the spec's parameters.  ``cd.family`` keeps the spec; no other factory
+    sets it."""
     row, p = _FAMILIES[spec.name], dict(spec.params)
-    base, side = row.base(**p), row.side
-    other = "upper" if side == "lower" else "lower"
-    psi = partial(row.to_base, **p)
-    cd = analytic_cd(lambda x: pk.cdf(base, psi(x), side), row.support,
-                     quantile_fn=lambda s: row.from_base(pk.quantile(base, s, side), **p),
-                     density_fn=lambda x: row.density(x, **p),
-                     log_cdf_fn=lambda x: pk.log_tail(base, psi(x), side),
-                     log_sf_fn=lambda x: pk.log_tail(base, psi(x), other), meta=meta)
+    cd = _pivot_cd(row.base(**p), row.side, partial(row.to_base, **p),
+                   partial(row.from_base, **p), row.support,
+                   density_fn=partial(row.density, **p), meta=meta)
     object.__setattr__(cd, "family", spec)
     return cd
 
@@ -342,7 +350,7 @@ def cd_eval(cd: ConfidenceDistribution, x):
     if cd.kind == "analytic":
         inner = np.clip(arr, lo, hi)
         with np.errstate(all="ignore"):
-            out = np.clip(np.asarray(cd.cdf_fn(inner), dtype=float), 0.0, 1.0)
+            out = pk.cdf(cd.base, cd.to_base(inner), cd.side)
         out = np.where(arr <= lo, 0.0, out) if math.isfinite(lo) else out
         out = np.where(arr >= hi, 1.0, out) if math.isfinite(hi) else out
     elif cd.kind == "grid":
@@ -376,20 +384,61 @@ def _sample_quantile(cd, s):
     return cd.atoms[np.searchsorted(cd.values, s - 1e-12, side="left")]
 
 
+_INF_KEY = np.int64(0x7FF0000000000000)  # the bits of inf; -_INF_KEY is the key of -inf
+_MIN_INT = np.int64(np.iinfo(np.int64).min)
+
+
+def _ordered(i):
+    """Between the int64 views of doubles and keys in the doubles' order, both
+    ways: the bits of a negative double count down from the sign bit."""
+    return np.where(i < 0, _MIN_INT - i, i)
+
+
+def _generalized_inverse(cd, guess, s):
+    """The smallest double x with H(x) >= s, for 1-D arrays, searched on the
+    ordered bits of the doubles: gallop from the guess by 1, 2, 4, ... ulps
+    while the bracket has an infinite end, then bisect.  H is taken as 0 at
+    -inf and 1 at inf, so the bracket always closes."""
+    def reaches(key, at):
+        return cd_eval(cd, _ordered(key).view(float)) >= s[at]
+
+    k = np.clip(_ordered(guess.view(np.int64)), -_INF_KEY, _INF_KEY)
+    reached = reaches(k, slice(None))
+    lo, hi = np.where(reached, -_INF_KEY, k), np.where(reached, k, _INF_KEY)
+    step = 1
+    while (live := hi - 1 > lo).any():
+        a, b = lo[live], hi[live]
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2); a + b may overflow
+        probe = np.where(a == -_INF_KEY, b - np.minimum(step, b - mid),
+                         np.where(b == _INF_KEY, a + np.minimum(step, mid - a), mid))
+        hit = reaches(probe, live)
+        hi[live], lo[live] = np.where(hit, probe, b), np.where(hit, a, probe)
+        step = min(2 * step, 2 ** 62)
+    return _ordered(hi).view(float)
+
+
 def cd_quantile(cd: ConfidenceDistribution, s):
-    """Generalized inverse inf{x : H(x) >= s} for s strictly inside (0, 1);
-    a sample CD's is inf{x : H(x) >= s - 1e-12}."""
+    """Generalized inverse inf{x : H(x) >= s} for s strictly inside (0, 1).
+
+    A sample CD's is inf{x : H(x) >= s - 1e-12}.  A family CD's is psi^-1 of
+    the base quantile, the bytes that the cached base quantiles in
+    :mod:`cdkit.inference` give.  Any other analytic CD's moves from there
+    (psi^-1 by root finding when absent) to the smallest double x with
+    H(x) >= s."""
     arr, scalar = _shape_in(s)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("cd_quantile needs probabilities strictly in (0, 1)")
     if cd.kind == "analytic":
-        if cd.quantile_fn is not None:
-            out = np.asarray(cd.quantile_fn(arr), dtype=float)
-        else:
+        b = pk.quantile(cd.base, arr, cd.side)
+        if cd.from_base is not None:
+            out = cd.from_base(b)
+        else:  # psi^-1 by root finding
             lo, hi = cd.support
-            out = np.array([pk.bracket_root(lambda t, si=si: cd_eval(cd, t) - si, lo, hi)
-                            for si in np.atleast_1d(arr)])
-            out = out.reshape(arr.shape)
+            out = np.array([pk.bracket_root(lambda t, bi=bi: float(cd.to_base(t)) - bi, lo, hi)
+                            for bi in np.ravel(b)])
+        if cd.family is None:
+            out = _generalized_inverse(cd, np.ravel(np.asarray(out, dtype=float)),
+                                       np.ravel(arr)).reshape(arr.shape)
     elif cd.kind == "grid":
         out = _grid_quantile(cd, arr)
     elif cd.kind == "sample":
@@ -429,21 +478,24 @@ def cd_density(cd: ConfidenceDistribution, x):
 
 
 def cd_log_lower(cd: ConfidenceDistribution, x: float) -> float:
-    """log H(x), exact in deep tails when the CD carries a log-CDF hook; -inf
-    at and below the support, 0 at and above it, as H is 0 and 1 there."""
-    if cd.kind == "analytic" and cd.log_cdf_fn is not None:
+    """log H(x): an analytic CD's is its base law's log tail at to_base(x),
+    exact in deep tails.  -inf at and below the support, 0 at and above it,
+    as H is 0 and 1 there."""
+    if cd.kind == "analytic":
         lo, hi = cd.support
-        return -math.inf if x <= lo else 0.0 if x >= hi else float(cd.log_cdf_fn(float(x)))
+        return (-math.inf if x <= lo else 0.0 if x >= hi
+                else pk.log_tail(cd.base, cd.to_base(float(x)), cd.side))
     p = cd_eval(cd, x)
     return math.log(p) if p > 0.0 else -math.inf
 
 
 def cd_log_upper(cd: ConfidenceDistribution, x: float) -> float:
-    """log(1 - H(x)), exact in deep tails when the CD carries a log-SF hook;
-    0 at and below the support, -inf at and above it."""
-    if cd.kind == "analytic" and cd.log_sf_fn is not None:
+    """log(1 - H(x)), read as cd_log_lower reads log H(x); 0 at and below the
+    support, -inf at and above it."""
+    if cd.kind == "analytic":
         lo, hi = cd.support
-        return 0.0 if x <= lo else -math.inf if x >= hi else float(cd.log_sf_fn(float(x)))
+        return (0.0 if x <= lo else -math.inf if x >= hi
+                else pk.log_tail(cd.base, cd.to_base(float(x)), _OTHER_SIDE[cd.side]))
     p = cd_eval(cd, x)
     return math.log1p(-p) if p < 1.0 else -math.inf
 
@@ -504,10 +556,13 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
     """CD of g(theta) for strictly monotone g with declared direction.
 
     The direction is spot-checked on a 101-point grid spanning the central
-    0.998 quantile range.  Sample CDs map their atoms exactly; other kinds
-    wrap the evaluators, so quantiles commute with g by construction.  The
-    new support is g of the old edges; an edge where g gives no finite
-    number is unbounded; a grid's starts an ulp below, to keep its end masses.
+    0.998 quantile range.  Sample CDs map their atoms exactly.  Any other CD
+    gives a pivot on the same base law with maps psi(g^-1(y)) and
+    g(psi^-1(b)), read on the other side of the law when g decreases; a grid
+    CD, or an analytic CD without psi^-1, is its own pivot on Uniform01 (psi
+    is H, psi^-1 is Q).  The new support is g of the old edges; an edge where
+    g gives no finite number is unbounded; a grid's starts an ulp below, to
+    keep its end masses.
     """
     if direction not in ("increasing", "decreasing"):
         raise ParameterDomainError("direction must be 'increasing' or 'decreasing'")
@@ -546,18 +601,17 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
             return min(max(float(g_inverse(y)), lo), hi)
         return pk.bracket_root(lambda t: float(g(t)) - y, lo, hi)
 
-    flip = (lambda s: s) if increasing else (lambda s: 1.0 - np.asarray(s, dtype=float))
+    if cd.kind == "analytic" and cd.from_base is not None:
+        base, side, psi, psi_inv = cd.base, cd.side, cd.to_base, cd.from_base
+    else:  # its own pivot on Uniform01
+        base, side = pk.Uniform01(), "lower"
+        psi, psi_inv = partial(cd_eval, cd), partial(cd_quantile, cd)
     # a grid's H is its lower edge's mass at new_lo, so its support starts an ulp
     # below; an analytic H is 0 there already and keeps g of its edge as support
     support = (math.nextafter(new_lo, -math.inf) if cd.kind == "grid" else new_lo, new_hi)
-    log_lower, log_upper = ((cd_log_lower, cd_log_upper) if increasing
-                            else (cd_log_upper, cd_log_lower))
-    logs = cd.kind != "analytic" or cd.log_cdf_fn is not None or cd.log_sf_fn is not None
-    return analytic_cd(lambda y: flip(cd_eval(cd, _elementwise(ginv, y))), support,
-                       quantile_fn=lambda s: _elementwise(g, cd_quantile(cd, flip(s))),
-                       log_cdf_fn=(lambda y: log_lower(cd, ginv(y))) if logs else None,
-                       log_sf_fn=(lambda y: log_upper(cd, ginv(y))) if logs else None,
-                       meta=cd.meta)
+    return _pivot_cd(base, side if increasing else _OTHER_SIDE[side],
+                     lambda y: psi(_elementwise(ginv, y)),
+                     lambda b: _elementwise(g, psi_inv(b)), support, meta=cd.meta)
 
 
 def _interval_probs(level: float) -> tuple[float, float]:

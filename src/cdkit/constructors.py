@@ -3,10 +3,13 @@
 The general recipe: if psi(data, theta) has a known law G free of theta and
 is monotone in theta, substituting theta -> x gives the CD
 H(x) = G(psi(data, x)) when psi increases in theta, and 1 - G(psi(data, x))
-when it decreases.  The named constructors below are closed-form instances:
-each returns a family CD, a row of the family table in :mod:`cdkit.cd_core`
-that holds this recipe as data (the base law G, the tail of G that H reads,
-psi and its inverse), so its quantiles and log-space tails are exact.
+when it decreases.  That is an analytic CD as :mod:`cdkit.cd_core` holds
+one, a pivot: the base law G, the tail of G that H reads, psi and its
+inverse.  ``from_pivot`` builds it from any pivot, with no inverse, so its
+quantiles invert psi by root finding.  The named constructors are closed-form
+instances: each returns a family CD, a row of the family table that holds
+psi^-1 as well, so its quantiles are maps of G's.  Either way the log-space
+tails are G's own, exact far past double underflow.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .cd_core import (
     ConfidenceDistribution,
     FamilySpec,
     _elementwise,
+    _pivot_cd,
     _spot_check_monotone,
-    analytic_cd,
     family_cd,
     location_scale_cd,
 )
@@ -135,30 +138,14 @@ class PivotSpec:
 
 
 def from_pivot(spec: PivotSpec, data, support=(-math.inf, math.inf)) -> ConfidenceDistribution:
-    """CD by pivot substitution; the declared direction is spot-checked.
-
-    The quantile falls back to bracketed root finding on psi, so closed-form
-    pivots stay cheap while arbitrary callables remain supported.
+    """CD by pivot substitution: the pivot on ``spec.law`` whose map is
+    psi(data, .), read on the law's upper tail when psi decreases in theta.
+    Quantiles invert psi by bracketed root finding; the declared direction
+    is spot-checked on them.
     """
-    lo, hi = float(support[0]), float(support[1])
-    if not lo < hi:
-        raise ParameterDomainError("support must satisfy lo < hi")
-    increasing = spec.direction == "increasing"
     psi = partial(spec.psi, data)
-
-    def cdf_fn(x):
-        g = pk.cdf(spec.law, _elementwise(psi, x))
-        return g if increasing else 1.0 - np.asarray(g, dtype=float)
-
-    def quantile_fn(s):
-        sa = np.asarray(s, dtype=float)
-        target = pk.quantile(spec.law, sa if increasing else 1.0 - sa)
-        return _elementwise(lambda q: pk.bracket_root(lambda t: float(psi(t)) - q, lo, hi), target)
-
-    lower, upper = ("lower", "upper") if increasing else ("upper", "lower")
-    cd = analytic_cd(cdf_fn, (lo, hi), quantile_fn=quantile_fn,
-                     log_cdf_fn=lambda x: pk.log_tail(spec.law, float(psi(float(x))), lower),
-                     log_sf_fn=lambda x: pk.log_tail(spec.law, float(psi(float(x))), upper))
+    side = "lower" if spec.direction == "increasing" else "upper"
+    cd = _pivot_cd(spec.law, side, partial(_elementwise, psi), None, support)
     try:
         _spot_check_monotone(psi, cd, spec.direction, "pivot")
     except RootBracketError as exc:
@@ -223,12 +210,14 @@ def hall_pivot(data: DataSample, mu) -> float | np.ndarray:
     """
     if data.sd <= 0.0:
         raise DegenerateSampleError("constant sample: the studentized pivot degenerates")
-    n = data.n
-    lam = data.skewness
     mu_arr = np.asarray(mu, dtype=float)
-    t = math.sqrt(n) * (data.mean - mu_arr) / data.sd
-    out = t + lam / (6.0 * math.sqrt(n)) * (2.0 * t * t + 1.0) + lam * lam / (27.0 * n) * t ** 3
+    out = _hall_cubic(math.sqrt(data.n) * (data.mean - mu_arr) / data.sd, data.skewness, data.n)
     return float(out) if mu_arr.ndim == 0 else out
+
+
+def _hall_cubic(t, lam, n):
+    """hall_pivot's cubic in the studentized mean t, for skewness lam."""
+    return t + lam / (6.0 * math.sqrt(n)) * (2.0 * t * t + 1.0) + lam * lam / (27.0 * n) * t ** 3
 
 
 def hall_pivot_inverse(data: DataSample, value) -> float | np.ndarray:

@@ -21,8 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import probkernel as pk
-from .cd_core import (_FAMILIES, ConfidenceDistribution, cd_density, cd_eval, cd_quantile,
-                      read_table)
+from .cd_core import ConfidenceDistribution, cd_density, cd_eval, cd_quantile, read_table
 from .errors import (
     NonintegrableCdError,
     OptimizationFailureError,
@@ -139,19 +138,19 @@ def _grid_probs(grid: str) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _base_quantiles(base: pk.DistKind, side: str, grid: str) -> np.ndarray:
-    # shared by every family CD on this base law and tail
+    # shared by every analytic CD on this base law and tail
     q = pk.quantile(base, _grid_probs(grid), side)
     q.setflags(write=False)
     return q
 
 
 def _quantiles(cd: ConfidenceDistribution, grid: str) -> np.ndarray:
-    """cd_quantile(cd, _grid_probs(grid)); a family CD maps cached base quantiles,
-    as its own quantile_fn does."""
-    if cd.family is None:
+    """The quantiles at _grid_probs(grid): an analytic CD with psi^-1 maps cached
+    base quantiles, cd_quantile's bytes for a family CD and within ulps of them
+    for any other; every other CD reads cd_quantile."""
+    if cd.kind != "analytic" or cd.from_base is None:
         return np.asarray(cd_quantile(cd, _grid_probs(grid)), dtype=float)
-    row, p = _FAMILIES[cd.family.name], cd.family.params
-    return row.from_base(_base_quantiles(row.base(**p), row.side, grid), **p)
+    return np.asarray(cd.from_base(_base_quantiles(cd.base, cd.side, grid)), dtype=float)
 
 
 def _integrability_check(probes) -> None:

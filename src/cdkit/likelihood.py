@@ -192,7 +192,7 @@ def wald_acd(theta_hat: float, i_n: float, n: int, window=None) -> ConfidenceDis
         return np.exp(-0.5 * z * z) / (sd * mass * math.sqrt(2.0 * math.pi))
 
     meta = {"theta_hat": theta_hat, "i_n": i_n, "n": n, "source": "wald"}
-    return analytic_cd(cdf, (lo, hi), quantile_fn=quantile, density_fn=density, meta=meta)
+    return analytic_cd(cdf, (lo, hi), quantile=quantile, density=density, meta=meta)
 
 
 def likelihood_acd(loglik, theta_window, grid_size: int = 256,

@@ -124,26 +124,28 @@ def _as_float_array(x):
 # ---------------------------------------------------------------------------
 # cdf / quantile
 
-def _check_side(d: DistKind, side: str) -> None:
-    # only the inverse-chi2-scale family reads an upper cdf or quantile
-    if side != "lower" and (side != "upper" or not isinstance(d, ChiSquare)):
-        raise ParameterDomainError(f"side must be 'lower', or 'upper' for ChiSquare, got {side!r}")
+def _check_side(side: str) -> None:
+    if side not in ("lower", "upper"):
+        raise ParameterDomainError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
 def cdf(d: DistKind, x, side: str = "lower") -> float | np.ndarray:
-    """P(X <= x), or P(X > x) for side='upper' (ChiSquare only).  Accepts
-    scalars or arrays; +-inf map to 1/0."""
-    _check_side(d, side)
+    """P(X <= x), or P(X > x) for side='upper'.  Accepts scalars or arrays;
+    +-inf map to 1/0 (0/1 upper)."""
+    _check_side(side)
     arr, scalar = _as_float_array(x)
+    lower = side == "lower"
     if isinstance(d, Normal):
-        out = _sp.ndtr((arr - d.mean) / d.sd)
+        z = (arr - d.mean) / d.sd
+        out = _sp.ndtr(z if lower else -z)
     elif isinstance(d, StudentT):
-        out = _sp.stdtr(d.df, arr)
+        out = _sp.stdtr(d.df, arr if lower else -arr)
     elif isinstance(d, ChiSquare):
-        tail = _sp.chdtr if side == "lower" else _sp.chdtrc
-        out = np.where(arr > 0.0, tail(d.df, np.maximum(arr, 0.0)), float(side == "upper"))
+        tail = _sp.chdtr if lower else _sp.chdtrc
+        out = np.where(arr > 0.0, tail(d.df, np.maximum(arr, 0.0)), float(not lower))
     elif isinstance(d, Uniform01):
         out = np.clip(arr, 0.0, 1.0)
+        out = out if lower else 1.0 - out
     else:
         raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
     out = np.asarray(out, dtype=float)
@@ -152,20 +154,21 @@ def cdf(d: DistKind, x, side: str = "lower") -> float | np.ndarray:
 
 def quantile(d: DistKind, p, side: str = "lower") -> float | np.ndarray:
     """Inverse CDF for p strictly inside (0, 1): the x with P(X <= x) = p, or
-    with P(X > x) = p for side='upper' (ChiSquare only)."""
-    _check_side(d, side)
+    with P(X > x) = p for side='upper'.  Each side inverts its own tail, not
+    1 - p, which rounds."""
+    _check_side(side)
     arr, scalar = _as_float_array(p)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("quantile requires probabilities strictly in (0, 1)")
+    lower = side == "lower"
     if isinstance(d, Normal):
-        out = d.mean + d.sd * _sp.ndtri(arr)
+        out = d.mean + d.sd * _sp.ndtri(arr) if lower else d.mean - d.sd * _sp.ndtri(arr)
     elif isinstance(d, StudentT):
-        out = _sp.stdtrit(d.df, arr)
+        out = _sp.stdtrit(d.df, arr) if lower else -_sp.stdtrit(d.df, arr)
     elif isinstance(d, ChiSquare):
-        # each side inverts its own tail, not 1 - p, which rounds
-        out = 2.0 * (_sp.gammaincinv if side == "lower" else _sp.gammainccinv)(d.df / 2.0, arr)
+        out = 2.0 * (_sp.gammaincinv if lower else _sp.gammainccinv)(d.df / 2.0, arr)
     elif isinstance(d, Uniform01):
-        out = arr.copy()
+        out = arr.copy() if lower else 1.0 - arr
     else:
         raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
     out = np.asarray(out, dtype=float)
@@ -274,9 +277,10 @@ def log_tail(d: DistKind, x: float, side: str) -> float:
 
     Stays accurate far past double underflow.
     """
-    if side not in ("lower", "upper"):
-        raise ParameterDomainError("side must be 'lower' or 'upper'")
+    _check_side(side)
     x = float(x)
+    if math.isinf(x):  # the whole mass or none, before any numerics
+        return 0.0 if (x > 0.0) == (side == "lower") else -math.inf
     if isinstance(d, Normal):
         z = (x - d.mean) / d.sd
         return float(_sp.log_ndtr(z if side == "lower" else -z))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cdkit.cd_core import (
     _FAMILIES,
@@ -95,7 +96,7 @@ def test_quantile_cdf_consistency(cd):
 
 def test_quantile_fallback_matches_closed_form():
     cd = _normal_cd()
-    bare = analytic_cd(cd.cdf_fn, cd.support)  # no quantile_fn: root-finding path
+    bare = analytic_cd(lambda x: cd_eval(cd, x), cd.support)  # no quantile: root finding
     for s in (0.025, 0.5, 0.975):
         assert abs(cd_quantile(bare, s) - cd_quantile(cd, s)) < 1e-9
 
@@ -255,6 +256,17 @@ def test_transform_quantile_commutes_decreasing(cd):
         assert abs(cd_quantile(out, s) - want) < 1e-8
 
 
+def test_decreasing_transform_keeps_the_deep_tails():
+    # H(-9) = P(Z > 9), which 1 - Phi(9) rounds to 0; Q(1e-18) reads the upper
+    # quantile of N(0, 1), where the lower quantile of 1 - 1e-18 = 1 has none
+    out = transform_cd(location_scale_cd(Normal(), 0.0, 1.0), lambda t: -t, "decreasing")
+    assert cd_eval(out, -9.0) == pytest.approx(special.ndtr(-9.0), rel=1e-9)
+    assert special.ndtr(-9.0) == pytest.approx(1.1285884059538e-19, rel=1e-12)
+    q = cd_quantile(out, 1e-18)
+    assert q == pytest.approx(special.ndtri(1e-18), rel=1e-9)
+    assert cd_eval(out, q) >= 1e-18
+
+
 def test_transform_cdf_matches_lognormal():
     out = transform_cd(_normal_cd(), math.exp, "increasing", g_inverse=math.log)
     for x in (0.4, 1.0, 2.5):
@@ -276,10 +288,11 @@ def test_only_location_scale_cd_records_its_structure():
     assert _FAMILIES["location-scale"].from_base(1.0, **cd.family.params) == 0.2 + 0.5 * 1.0
     out = transform_cd(cd, math.exp, "increasing", g_inverse=math.log)
     assert out.family is None
-    copied = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
+    copied = analytic_cd(lambda x: cd_eval(cd, x), quantile=lambda s: cd_quantile(cd, s),
+                         meta=cd.meta)
     assert copied.family is None
     assert dataclasses.replace(cd, meta={}).family is None
-    assert analytic_cd(cd.cdf_fn, meta={"base": Normal()}).family is None
+    assert analytic_cd(lambda x: cd_eval(cd, x), meta={"base": Normal()}).family is None
 
 
 def test_transform_rejects_nonmonotone():

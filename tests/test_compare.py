@@ -14,6 +14,7 @@ import cdkit.probkernel as pk
 from cdkit.cd_core import (
     _FAMILIES,
     analytic_cd,
+    cd_eval,
     cd_quantile,
     location_scale_cd,
     materialize,
@@ -165,21 +166,22 @@ class TestDispersionFastPath:
     def test_location_scale_equals_generic_quadrature(self, base, loss):
         cd = location_scale_cd(base, 0.37, 0.81)
         # the same CD, meta included, without the factory's structure
-        generic = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn, meta=cd.meta)
+        generic = analytic_cd(functools.partial(cd_eval, cd),
+                              quantile=functools.partial(cd_quantile, cd), meta=cd.meta)
         assert _FAMILIES["location-scale"].base(**cd.family.params) == base
         assert generic.family is None
-        # cached base quantiles, then loc + scale * q: the bytes of quantile_fn
+        # cached base quantiles, then loc + scale * q: the bytes of cd_quantile
         assert sample_dispersion(cd, loss, 0.1) == sample_dispersion(generic, loss, 0.1)
 
     @pytest.mark.parametrize("n", [2, 30, 200])
     @pytest.mark.parametrize("loss", [SquaredError, Absolute])
     def test_exponential_rate_equals_generic_quadrature(self, n, loss):
         cd = _exponential_cd(n)
-        generic = analytic_cd(cd.cdf_fn, cd.support, quantile_fn=cd.quantile_fn,
-                              meta=cd.meta)
+        generic = analytic_cd(functools.partial(cd_eval, cd), cd.support,
+                              quantile=functools.partial(cd_quantile, cd), meta=cd.meta)
         assert _FAMILIES["chi2-rate"].base(**cd.family.params) == pk.ChiSquare(2.0 * n)
         assert generic.family is None
-        # cached chi-square quantiles, then q / (2 sum x): the bytes of quantile_fn
+        # cached chi-square quantiles, then q / (2 sum x): the bytes of cd_quantile
         assert sample_dispersion(cd, loss, 2.0) == sample_dispersion(generic, loss, 2.0)
 
     @pytest.mark.parametrize("cd", _BASE_MAPPED, ids=_BASE_MAPPED_IDS)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cdkit.cd_core import cd_density, cd_eval, cd_log_lower, cd_log_upper, cd_quantile
 from cdkit.constructors import (
@@ -211,6 +212,16 @@ def test_pivot_direction_is_verified():
             (lambda d, th: th if th < 2.0 else math.nan, "increasing")]:  # nan above Q(0.977)
         with pytest.raises(MonotonicityError):
             from_pivot(PivotSpec(psi=psi, law=Normal(), direction=direction), None)
+
+
+def test_decreasing_pivot_keeps_the_deep_tails():
+    # H(-9) = P(Z > 9), which 1 - Phi(9) rounds to 0; Q(1e-18) inverts psi at
+    # the law's upper quantile of 1e-18, as 1 - 1e-18 = 1 has no lower one
+    cd = from_pivot(PivotSpec(psi=lambda d, th: -th, law=Normal(), direction="decreasing"), None)
+    assert cd_eval(cd, -9.0) == special.ndtr(-9.0)
+    q = cd_quantile(cd, 1e-18)
+    assert q == pytest.approx(special.ndtri(1e-18), rel=1e-9)
+    assert cd_eval(cd, q) >= 1e-18 > cd_eval(cd, np.nextafter(q, -np.inf))
 
 
 def test_pivot_log_tails_follow_law():

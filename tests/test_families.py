@@ -4,9 +4,11 @@ Every family spec, grid CD, sample CD and monotone transform of one must
 satisfy the generalized-inverse identities H(Q(s)) >= s and Q(H(x)) <= x,
 have a nondecreasing H, give strong support no larger than weak support, and
 reload from its file as the same CD (a transformed analytic CD, which has no
-spec, as its materialized grid).  Family CDs and their transforms meet the
-inverse identities to rounding (a relative 1e-9), and grid CDs and their
-transforms to the rounding of theta.  Sample CDs, every bootstrap CD among them, meet
+spec, as its materialized grid).  Family CDs meet the inverse identities to
+rounding (a relative 1e-9), and grid CDs to the rounding of theta.  A
+transformed family or grid CD meets H(Q(s)) >= s exactly, as its Q is the
+smallest double that reaches s, and Q(H(x)) <= x to the rounding of the CD
+it transforms.  Sample CDs, every bootstrap CD among them, meet
 Q(H(x)) <= x exactly and H(Q(s)) >= s - 1e-12: their quantile rule stops at
 the first atom whose H reaches s - 1e-12, so that a probability one rounding
 off a multiple of 1/n lands on its atom.
@@ -16,7 +18,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cdkit.probkernel as pk
@@ -116,6 +118,11 @@ def transformed_cds(draw):
 
 
 CDS = st.one_of(SPECS.map(family_cd), grid_cds(), sample_cds(), transformed_cds())
+# g(Q(1e-6)) = 1 + 3.2e-8 drops the low bits of Q(1e-6) = 1.6e-8: H there fell
+# 1.6e-9 short of 1e-6 before Q moved on to the smallest double reaching s
+_RATE_CD = family_cd(_spec("chi2-rate", n=1, total=63.0))
+PINNED = [transform_cd(_RATE_CD, MAPS[0][0], "increasing", g_inverse)
+          for g_inverse in (None, MAPS[0][2])]
 PROBS = st.lists(_reals(1e-6, 1.0 - 1e-6), min_size=1, max_size=20)
 
 
@@ -134,10 +141,14 @@ def _span(cd):
 
 class TestContract:
     @given(CDS, PROBS)
+    @example(PINNED[0], [1e-6])
+    @example(PINNED[1], [1e-6])
     def test_h_of_q_is_at_least_s(self, cd, probs):
         s = np.array(probs)
         q = cd_quantile(cd, s)
-        if _grid_under(cd) is not None:  # Q(s) is rounded to a float in theta
+        if cd.kind == "analytic" and cd.family is None:  # a transform
+            assert np.all(cd_eval(cd, q) >= s)
+        elif cd.kind == "grid":  # Q(s) is rounded to a float in theta
             assert np.all(cd_eval(cd, q + 1e-12 * (1.0 + np.abs(q))) >= s)
         elif cd.kind == "analytic":
             assert np.all(cd_eval(cd, q) >= s * (1.0 - _ROUNDING))
@@ -217,7 +228,8 @@ class TestFamilySpecs:
     def test_family_cd_keeps_its_spec_and_copies_drop_it(self, spec):
         cd = family_cd(spec)
         assert cd.kind == "analytic" and cd.family == spec
-        assert analytic_cd(cd.cdf_fn, cd.support, quantile_fn=cd.quantile_fn).family is None
+        copy = analytic_cd(partial(cd_eval, cd), cd.support, quantile=partial(cd_quantile, cd))
+        assert copy.family is None
 
     @given(SPECS, PROBS)
     def test_mapped_rows_take_quantiles_from_the_base_law(self, spec, probs):
@@ -300,7 +312,7 @@ class TestFamilyFiles:
 
     def test_non_family_cds_write_no_header(self, tmp_path):
         cd = location_scale_cd(pk.Normal(), 0.0, 1.0)
-        copy = analytic_cd(cd.cdf_fn, quantile_fn=cd.quantile_fn)
+        copy = analytic_cd(partial(cd_eval, cd), quantile=partial(cd_quantile, cd))
         save_cd_csv(copy, tmp_path / "copy.csv")
         assert (tmp_path / "copy.csv").read_text().startswith("theta,H")
 

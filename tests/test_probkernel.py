@@ -168,8 +168,22 @@ def test_chi2_upper_tail_is_scipys(df):
                                     (Normal(), "upper"), (StudentT(4.0), "upper"),
                                     (Uniform01(), "upper"), (Normal(), "Lower")])
 def test_cdf_and_quantile_side_validation(read, d, side):
-    with pytest.raises(ParameterDomainError):
-        read(d, 0.5, side)
+    # every law reads "upper" as the exact reflection of "lower"; any other side raises
+    if side != "upper":
+        with pytest.raises(ParameterDomainError):
+            read(d, 0.5, side)
+        return
+    if read is cdf:
+        x = np.array([-40.0, -3.0, 0.0, 0.25, 0.5, 9.0, 1e300])
+        want = 1.0 - cdf(d, x) if isinstance(d, Uniform01) else cdf(d, -x)
+        assert np.array_equal(cdf(d, x, "upper"), want)
+        assert cdf(d, 9.0, "upper") == want[-2]
+    else:
+        # 1 - p rounds to 1 for the deep-tail p, so they have no lower quantile
+        p = np.array([1e-300, 1e-18, 0.3, 0.5, 0.9])
+        want = 1.0 - p if isinstance(d, Uniform01) else -quantile(d, p)
+        assert np.array_equal(quantile(d, p, "upper"), want)
+        assert quantile(d, 1e-18, "upper") == want[1]
 
 
 def test_quantile_domain():
@@ -236,6 +250,14 @@ def test_log_tail_consistent_with_cdf(d):
             assert abs(math.exp(log_tail(d, x, "lower")) - p) < 1e-12
         if 1.0 - p >= 1e-280:
             assert abs(math.exp(log_tail(d, x, "upper")) - (1.0 - p)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [Normal(), StudentT(3.0), ChiSquare(4.0), Uniform01()])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("x", [-math.inf, math.inf])
+def test_log_tail_at_infinity_is_exact(d, side, x):
+    # all the mass or none: 0 or -inf, with no nan and no warning from the numerics
+    assert log_tail(d, x, side) == (0.0 if (x > 0.0) == (side == "lower") else -math.inf)
 
 
 def test_log_tail_side_validation():
