@@ -3,12 +3,16 @@
 Everything downstream of this module treats probability evaluation as exact.
 The log-space tail routines are the only nontrivial numerics here: they must
 stay accurate where ordinary CDF evaluation underflows (tail masses far below
-1e-308), which the slope diagnostics in :mod:`cdkit.compare` rely on.
+1e-308), which the slope diagnostics in :mod:`cdkit.compare` rely on.  Below
+a tail mass of 1e-280 the chi-square lower tail is a series, and the
+chi-square upper and Student-t tails are one continued fraction (the
+incomplete gamma's and the incomplete beta's), read by one Lentz evaluator.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -178,42 +182,42 @@ def quantile(d: DistKind, p, side: str = "lower") -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # log-space tails
 
-def _t_log_upper_quad(df: float, a: float) -> float:
-    """log P(T_df > a) for large a, by segmented Gauss-Legendre in log space."""
-    c = _sp.gammaln((df + 1.0) / 2.0) - _sp.gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
-
-    def log_f(u):
-        au = np.abs(u)
-        capped = np.minimum(au, 1e130)
-        s = np.where(au < 1e130,
-                     np.log1p(capped * capped / df),
-                     2.0 * np.log(np.maximum(au, 1.0)) - math.log(df))
-        return c - 0.5 * (df + 1.0) * s
-
-    lam = (df + 1.0) * a / (df + a * a)  # local decay rate of the density at a
-    h = 1.0 / lam if lam else (df / a + a) / (df + 1.0)  # lam is 0 once a * a overflows
-    nodes, weights = gauss_legendre(64)
-    total = -np.inf
-    s_lo = 0.0
-    s_hi = 1.0
-    for _ in range(80):
-        u_lo, u_hi = a + h * s_lo, a + h * s_hi
-        half = 0.5 * (u_hi - u_lo)
-        mid = 0.5 * (u_hi + u_lo)
-        pts = mid + half * nodes
-        seg = _sp.logsumexp(log_f(pts) + np.log(weights * half))
-        total = np.logaddexp(total, seg)
-        if seg < total + math.log(1e-20):
+def _lentz(b0: float, term) -> float:
+    """b0 + a1 / (b1 + a2 / (b2 + ...)) for b0 != 0, term(k) giving (a_k, b_k),
+    by the modified Lentz method: stops at a step under an ulp or 10000 terms."""
+    tiny = 1e-300
+    f = c = b0
+    d = 0.0
+    for k in range(1, 10000):
+        a_k, b_k = term(k)
+        d = b_k + a_k * d
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b_k + a_k / c
+        c = c if abs(c) >= tiny else tiny
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-16:
             break
-        s_lo, s_hi = s_hi, 2.0 * s_hi
-    return float(total)
+    return f
 
 
 def _t_log_cdf(df: float, x: float) -> float:
     p = float(_sp.stdtr(df, x))
     if p >= _DIRECT_TAIL_FLOOR:
         return math.log(p)
-    return _t_log_upper_quad(df, -x)
+    # P(T <= x) = I_y(h, 1/2) / 2 at y = df / (df + x^2) and h = df / 2, by the
+    # incomplete beta continued fraction (Numerical Recipes' betacf)
+    h = df / 2.0
+    log_1my = -math.log1p(df / x / x)  # log(1 - y), with no x^2 to overflow
+    log_y = math.log(df) - 2.0 * math.log(-x) + log_1my
+    y = math.exp(log_y)
+
+    def term(k):
+        m = k // 2
+        num = m * (0.5 - m) if k % 2 == 0 else -(h + m) * (h + 0.5 + m)
+        return num * y / ((h + k - 1.0) * (h + k)), 1.0
+
+    return (h * log_y + 0.5 * log_1my - math.log(df) - float(_sp.betaln(h, 0.5))
+            - math.log(_lentz(1.0, term)))
 
 
 def _gamma_log_lower(a: float, z: float) -> float:
@@ -231,27 +235,9 @@ def _gamma_log_lower(a: float, z: float) -> float:
 
 
 def _gamma_log_upper(a: float, z: float) -> float:
-    """log of the regularized upper incomplete gamma Q(a, z) via Lentz's continued fraction."""
-    tiny = 1e-300
-    b = z + 1.0 - a
-    c_ = 1.0 / tiny
-    d_ = 1.0 / max(b, tiny)
-    f = d_
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d_ = an * d_ + b
-        if abs(d_) < tiny:
-            d_ = tiny
-        c_ = b + an / c_
-        if abs(c_) < tiny:
-            c_ = tiny
-        d_ = 1.0 / d_
-        delta = d_ * c_
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return -z + a * math.log(z) - float(_sp.gammaln(a)) + math.log(f)
+    """log of the regularized upper incomplete gamma Q(a, z), by its continued fraction."""
+    cf = _lentz(z + 1.0 - a, lambda k: (-k * (k - a), z + 2.0 * k + 1.0 - a))
+    return -z + a * math.log(z) - float(_sp.gammaln(a)) - math.log(cf)
 
 
 def _chi2_log_cdf(df: float, x: float) -> float:
@@ -337,11 +323,21 @@ def _finite_anchor(f, bound: float, inward: float) -> tuple[float, float]:
     raise RootBracketError("function is not finite anywhere near a support edge")
 
 
+def _step_out(f, x: float, fx: float, step: float) -> tuple[float, float, float]:
+    # one outward probe at x + step (step signed), kept within the doubles: the
+    # new end, f there and the next step; a probe where f overflows lies past
+    # the root, so the end stays and the step halves
+    t = min(max(x + step, -sys.float_info.max), sys.float_info.max)
+    ft = _try_eval(f, t)
+    return (t, ft, 2.0 * step) if math.isfinite(ft) else (x, fx, 0.5 * step)
+
+
 def bracket_root(f, lo: float, hi: float, *, xtol: float = 1e-12) -> float:
     """Root of a monotone-ish f on (lo, hi); endpoints may be infinite.
 
     Finite edges are nudged inward if f blows up there; infinite sides are
-    searched by doubling steps until a sign change appears.
+    searched by doubling steps, out to the largest double, until a sign
+    change appears.
     """
     inner = 0.0
     if math.isfinite(lo) and math.isfinite(hi):
@@ -359,8 +355,9 @@ def bracket_root(f, lo: float, hi: float, *, xtol: float = 1e-12) -> float:
     else:
         b, fb = inner + 1.0, f(inner + 1.0)
 
-    step = max(1.0, abs(b - a))
-    for _ in range(220):
+    step_b = max(1.0, abs(b - a))
+    step_a = -step_b
+    for _ in range(4096):
         if fa == 0.0:
             return a
         if fb == 0.0:
@@ -368,15 +365,12 @@ def bracket_root(f, lo: float, hi: float, *, xtol: float = 1e-12) -> float:
         if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
             return float(_brentq(f, a, b, xtol=xtol))
         grew = False
-        if not math.isfinite(lo):
-            a -= step
-            fa = f(a)
+        if not math.isfinite(lo) and a > -sys.float_info.max:
+            a, fa, step_a = _step_out(f, a, fa, step_a)
             grew = True
-        if not math.isfinite(hi):
-            b += step
-            fb = f(b)
+        if not math.isfinite(hi) and b < sys.float_info.max:
+            b, fb, step_b = _step_out(f, b, fb, step_b)
             grew = True
-        step *= 2.0
         if not grew:
             break
     raise RootBracketError(f"could not bracket a sign change on ({lo}, {hi})")

@@ -267,6 +267,19 @@ def test_decreasing_transform_keeps_the_deep_tails():
     assert cd_eval(out, q) >= 1e-18
 
 
+@pytest.mark.parametrize("g,direction,y,want", [
+    # g^{-1} by root finding: the search for it runs out to the largest double
+    (lambda t: -t, "decreasing", 1e70, 1.0),
+    (lambda t: -t, "decreasing", -1e70, 0.0),
+    # exp overflows past t = 709.8, which is past the root, not a failure
+    (math.exp, "increasing", 1e250, 1.0),
+    (math.exp, "increasing", 1e-250, 0.0),
+])
+def test_transform_without_inverse_reaches_far_out(g, direction, y, want):
+    out = transform_cd(location_scale_cd(Normal(), 0.0, 1.0), g, direction)
+    assert cd_eval(out, y) == want
+
+
 def test_transform_cdf_matches_lognormal():
     out = transform_cd(_normal_cd(), math.exp, "increasing", g_inverse=math.log)
     for x in (0.4, 1.0, 2.5):
@@ -371,6 +384,16 @@ def test_log_hooks_match_plain_eval_in_body():
     # deep tail stays finite in log space
     assert cd_log_lower(cd, -40.0) < -2000.0
     assert math.isfinite(cd_log_lower(cd, -40.0))
+
+
+@pytest.mark.parametrize("df", [0.3, 0.5, 1.0, 3.0, 30.0, 1e3, 1e6])
+def test_t_log_tails_are_finite_and_fall_out_to_the_largest_double(df):
+    cd = location_scale_cd(StudentT(df), 0.0, 1.0)
+    x = np.concatenate([np.linspace(0.0, 40.0, 81), np.logspace(1.7, 308.0, 200)])
+    for tail, sign in ((cd_log_lower, -1.0), (cd_log_upper, 1.0)):
+        logs = np.array([tail(cd, sign * xi) for xi in x])
+        assert np.all(np.isfinite(logs))
+        assert np.all(np.diff(logs) <= 0.0)
 
 
 def test_log_fallback_for_grid_and_empty_tail():

@@ -288,6 +288,13 @@ class TestBahadurSlopes:
         assert slopes[0] < slopes[1] < slopes[2] < 0.0
         assert abs(slopes[2] - target) <= 0.05 * abs(target)
 
+    def test_cauchy_slopes_stay_finite_near_the_largest_double(self):
+        # log P(T_1 <= -1e290), frozen via mpmath (dps=60)
+        cd = location_scale_cd(pk.StudentT(1.0), 0.0, 1.0)
+        left, right = bahadur_slopes(cd, 0.0, 1e290, 10)
+        assert left == pytest.approx(-66.88944068541226, rel=1e-12)
+        assert right == left
+
     def test_vanishing_eps_gives_log_half(self):
         cd = location_scale_cd(pk.Normal(0.0, 1.0), 2.0, 0.2)
         left, right = bahadur_slopes(cd, 2.0, 1e-12, 25)

@@ -54,13 +54,19 @@ def _spec(family, **params):
     return FamilySpec(family, params)
 
 
+def _log_reals(lo, hi):
+    """Reals spread evenly over the decades from lo to hi."""
+    return _reals(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0 ** e))
+
+
 _LOC_SCALE = {"loc": _reals(-1e3, 1e3), "scale": _reals(1e-3, 1e3)}
-_T_DF = _reals(0.5, 300.0)
+_T_DF = _log_reals(0.3, 1e6)
 _OTHER_ROWS = [
     st.builds(partial(_spec, "inverse-chi2-scale"), df=_reals(1.0, 500.0),
               scale_ssq=_reals(1e-3, 1e4)),
     st.builds(partial(_spec, "fisher-z"), r=_reals(-0.99, 0.99), n=st.integers(4, 5000)),
-    st.builds(partial(_spec, "chi2-rate"), n=st.integers(1, 2000), total=_reals(1e-3, 1e4)),
+    st.builds(partial(_spec, "chi2-rate"), n=st.one_of(st.just(1), st.integers(1, 2000)),
+              total=_log_reals(1e-3, 1e12)),
 ]
 SPECS = st.one_of(st.builds(partial(_spec, "location-scale"), **_LOC_SCALE,
                             df=st.one_of(st.none(), _T_DF)), *_OTHER_ROWS)
@@ -123,7 +129,10 @@ CDS = st.one_of(SPECS.map(family_cd), grid_cds(), sample_cds(), transformed_cds(
 _RATE_CD = family_cd(_spec("chi2-rate", n=1, total=63.0))
 PINNED = [transform_cd(_RATE_CD, MAPS[0][0], "increasing", g_inverse)
           for g_inverse in (None, MAPS[0][2])]
-PROBS = st.lists(_reals(1e-6, 1.0 - 1e-6), min_size=1, max_size=20)
+# probabilities spread evenly over the decades from 1e-12 to 1/2, in either tail
+_TAIL_PROB = st.tuples(_log_reals(1e-12, 0.5), st.booleans()).map(
+    lambda pair: 1.0 - pair[0] if pair[1] else pair[0])
+PROBS = st.lists(st.one_of(_reals(1e-6, 1.0 - 1e-6), _TAIL_PROB), min_size=1, max_size=20)
 
 
 def _grid_under(cd):
@@ -237,7 +246,12 @@ class TestFamilySpecs:
         want = row.from_base(pk.quantile(row.base(**p), s, row.side), **p)
         assert np.array_equal(cd_quantile(family_cd(spec), s), want)
 
-    @pytest.mark.parametrize("spec", ROW_SPECS)  # a strategy: each row gets its own examples
+    # a strategy: each row gets its own examples, and each spec that random
+    # examples found gets one: df 0.3, whose Q(0.97) lies far out, and a
+    # Cauchy CD, whose H scipy gives to 1e-11 at the centre
+    @pytest.mark.parametrize("spec", ROW_SPECS + [
+        st.just(_spec("location-scale", loc=0.0, scale=1.0, df=0.30232130250207156)),
+        st.just(_spec("location-scale", loc=513.0, scale=0.015625, df=1.0))])
     @given(data=st.data())
     def test_callables_agree_with_the_cdf(self, spec, data):
         cd = family_cd(data.draw(spec))
@@ -253,7 +267,9 @@ class TestFamilySpecs:
         for xi, hx in zip([*x, *below, *above], [*h, *cd_eval(cd, below), *cd_eval(cd, above)]):
             assert abs(np.exp(cd_log_lower(cd, xi)) - hx) < 1e-12
             assert abs(np.exp(cd_log_upper(cd, xi)) - (1.0 - hx)) < 1e-12
-        step = 1e-6 * (x[-1] - x[0])
+        # a step on the scale of the body, Q(0.8) - Q(0.3): a heavy tail puts
+        # Q(0.97) so far out that a step on that scale misreads the center
+        step = 1e-5 * (x[3] - x[1])
         left, right = x - step, x + step  # the step as rounded, far from 0
         slope = (cd_eval(cd, right) - cd_eval(cd, left)) / (right - left)
         assert np.allclose(cd_density(cd, x), slope, rtol=1e-5)

@@ -218,10 +218,18 @@ def test_normal_log_tail_vs_mills_oracle():
     (0.5, 1e160, -185.3440535702952),
     (1.0, 1e160, -369.55834476489673),
     (5.0, 1e200, -2300.334836758232),
+    # out to the largest double, for heavy and light tails
+    (1.0, 1e290, -668.8944068541226),
+    (0.8, 1e286, -528.0002496671409),
+    (0.3, 1e300, -208.2839080170067),
+    (30.0, 1e307, -21158.418614766437),
+    # large df, where x = df / (df + a^2) is close to 1
+    (1e5, 45.0, -1007.1008380733635),
+    (1e6, 45.0, -1016.2013086271892),
 ])
 def test_t_log_tail_deep(df, a, want):
     got = log_tail(StudentT(df), -a, "lower")
-    assert abs(got - want) < 1e-6 * abs(want)
+    assert abs(got - want) < 1e-12 * abs(want)
     assert log_tail(StudentT(df), a, "upper") == got
 
 
