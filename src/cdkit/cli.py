@@ -22,14 +22,6 @@ from .compare import (
     dump_slopes,
     paired_compare,
 )
-from .constructors import (
-    DataSample,
-    PairedSample,
-    exponential_rate_cd,
-    fisher_z_corr_cd,
-    normal_mean_cd,
-    normal_variance_cd,
-)
 from .errors import CdkitError, ConfigError, PairingError, ParameterDomainError
 from .inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from .multivariate import (
@@ -42,6 +34,8 @@ from .multivariate import (
     project,
 )
 from .simlab import (
+    _DEFAULT_LEVELS,
+    _EXACT_CDS,
     calibrate,
     dump_u_values,
     generator_from_config,
@@ -99,21 +93,13 @@ def _cmd_construct(args) -> dict:
     if args.model != "normal-mean" and args.sigma != "unknown":
         raise ConfigError("--sigma applies to the normal-mean model only")
     data = _read_matrix(args.data)
-    if args.model == "correlation":
-        if data.shape[1] != 2:
-            raise ConfigError("correlation model needs a two-column data file")
-        cd = fisher_z_corr_cd(PairedSample(data))
-    else:
-        if data.shape[1] != 1:
-            raise ConfigError(f"{args.model} model needs a one-column data file")
-        sample = DataSample(data[:, 0])
-        if args.model == "normal-mean":
-            cd = normal_mean_cd(sample, sigma=sigma)
-        elif args.model == "normal-variance":
-            cd = normal_variance_cd(sample)
-        else:
-            cd = exponential_rate_cd(sample)
-    # a family CD reloads from its file as this very CD
+    paired = args.model == "correlation"
+    if data.shape[1] != 1 + paired:
+        raise ConfigError(f"{args.model} model needs a {('one', 'two')[paired]}-column data file")
+    model = {"normal-mean": f"normal-mean-{'unknown' if sigma is None else 'known'}-sigma",
+             "correlation": "bivariate-normal-correlation"}.get(args.model, args.model)
+    cd = _EXACT_CDS[model](data, sigma)
+    # the CD the lab's pivot recipe calibrates; a family CD reloads from its file as itself
     save_cd_csv(cd, args.out)
     return {
         "command": "construct",
@@ -148,8 +134,7 @@ def _cmd_calibrate(args) -> dict:
     obj = _load_config(args.config)
     gen = generator_from_config(obj)
     reps = _parse("reps", int, obj.get("reps", 1000))
-    levels = _parse("levels", lambda v: tuple(map(float, v)),
-                    obj.get("levels", (0.5, 0.9, 0.95, 0.99)))
+    levels = _parse("levels", lambda v: tuple(map(float, v)), obj.get("levels", _DEFAULT_LEVELS))
     report = calibrate(gen, reps, levels)
     body = json.loads(report_to_json(report))
     body.pop("u_values", None)  # the raw array ships via --u-values only

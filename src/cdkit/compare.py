@@ -137,10 +137,13 @@ def default_risk(theta0: float, scale: float, psi=identity_psi) -> RiskSpec:
 
 def _apply(f, x: np.ndarray) -> np.ndarray:
     """f(x) on the whole array, or f of each element when f does not vectorize."""
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.array([float(f(v)) for v in x])
-    return vals
+    try:
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+    except (TypeError, ValueError):  # f takes scalars only, math.sqrt say
+        pass
+    return np.array([float(f(v)) for v in x])
 
 
 def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float) -> float:

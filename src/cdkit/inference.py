@@ -18,13 +18,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import probkernel as pk
 from .cd_core import ConfidenceDistribution, cd_density, cd_eval, cd_quantile, read_table
 from .errors import (
     NonintegrableCdError,
-    OptimizationFailureError,
     ParameterDomainError,
     PartitionError,
     UnsupportedRepresentationError,
@@ -209,12 +207,9 @@ def cd_mode(cd: ConfidenceDistribution) -> float:
     idx = int(np.argmax(dens))
     a = xs[max(idx - 1, 0)]
     b = xs[min(idx + 1, xs.size - 1)]
-    res = minimize_scalar(lambda t: -float(cd_density(cd, t)), bounds=(a, b),
-                          method="bounded", options={"xatol": 1e-8})
-    if not res.success:
-        raise OptimizationFailureError("mode search did not converge", theta=float(res.x))
+    x, peak = pk.maximize(lambda t: float(cd_density(cd, t)), a, b)
     # the refined point can only improve on the scan
-    return float(res.x) if -res.fun >= dens[idx] else float(xs[idx])
+    return x if peak >= dens[idx] else float(xs[idx])
 
 
 # ---------------------------------------------------------------------------

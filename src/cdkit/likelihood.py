@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
+from . import probkernel as pk
 from .cd_core import ConfidenceDistribution, analytic_cd, grid_cd, write_table
 from .errors import (
     OptimizationFailureError,
@@ -64,19 +64,11 @@ class ProfileCurve:
         self.ell_star.setflags(write=False)
 
 
-def scalar_maximizer(lo: float, hi: float, xatol: float = 1e-8):
+def scalar_maximizer(lo: float, hi: float):
     """Bounded derivative-free maximizer factory for the nuisance dimension."""
     if not lo < hi:
         raise ParameterDomainError("maximizer bounds must satisfy lo < hi")
-
-    def maximize(f):
-        res = minimize_scalar(lambda e: -f(e), bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        if not res.success:
-            raise OptimizationFailureError("nuisance maximization did not converge")
-        return float(res.x)
-
-    return maximize
+    return lambda f: pk.maximize(f, lo, hi)[0]
 
 
 def profile_curve(loglik, theta_window, grid_size: int = 256,

@@ -19,9 +19,9 @@ from typing import Union
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import brentq as _brentq
+from scipy.optimize import brentq as _brentq, minimize_scalar as _minimize_scalar
 
-from .errors import ParameterDomainError, RootBracketError
+from .errors import OptimizationFailureError, ParameterDomainError, RootBracketError
 
 __all__ = [
     "RngStream",
@@ -35,6 +35,7 @@ __all__ = [
     "log_tail",
     "gauss_legendre",
     "bracket_root",
+    "maximize",
 ]
 
 # Direct log(cdf) is used while the tail mass stays comfortably above the
@@ -332,12 +333,17 @@ def _step_out(f, x: float, fx: float, step: float) -> tuple[float, float, float]
     return (t, ft, 2.0 * step) if math.isfinite(ft) else (x, fx, 0.5 * step)
 
 
-def bracket_root(f, lo: float, hi: float, *, xtol: float = 1e-12) -> float:
+def _crossed(fa: float, fb: float) -> bool:
+    # signs, not fa * fb < 0: next to a root that product underflows to -0.0
+    return math.isfinite(fa) and math.isfinite(fb) and (fa > 0.0) != (fb > 0.0)
+
+
+def bracket_root(f, lo: float, hi: float) -> float:
     """Root of a monotone-ish f on (lo, hi); endpoints may be infinite.
 
     Finite edges are nudged inward if f blows up there; infinite sides are
-    searched by doubling steps, out to the largest double, until a sign
-    change appears.
+    searched by doubling steps, out to the largest double, until a step
+    crosses a sign change: that step alone is the bracket.
     """
     inner = 0.0
     if math.isfinite(lo) and math.isfinite(hi):
@@ -362,15 +368,32 @@ def bracket_root(f, lo: float, hi: float, *, xtol: float = 1e-12) -> float:
             return a
         if fb == 0.0:
             return b
-        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
-            return float(_brentq(f, a, b, xtol=xtol))
+        if _crossed(fa, fb):
+            return float(_brentq(f, a, b, xtol=1e-12))
         grew = False
         if not math.isfinite(lo) and a > -sys.float_info.max:
+            a0, fa0 = a, fa
             a, fa, step_a = _step_out(f, a, fa, step_a)
+            if _crossed(fa, fa0):
+                b, fb = a0, fa0
+                continue
             grew = True
         if not math.isfinite(hi) and b < sys.float_info.max:
+            b0, fb0 = b, fb
             b, fb, step_b = _step_out(f, b, fb, step_b)
+            if _crossed(fb, fb0):
+                a, fa = b0, fb0
+                continue
             grew = True
         if not grew:
             break
     raise RootBracketError(f"could not bracket a sign change on ({lo}, {hi})")
+
+
+def maximize(f, lo: float, hi: float) -> tuple[float, float]:
+    """(x, f(x)) at the maximum of f on [lo, hi], by a bounded search to 1e-8."""
+    res = _minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                           options={"xatol": 1e-8})
+    if not res.success:
+        raise OptimizationFailureError("bounded maximization did not converge", theta=float(res.x))
+    return float(res.x), -float(res.fun)

@@ -85,6 +85,22 @@ _PARAM_KEYS = ("sigma", "mean", "B", "grid_size")
 
 _BOOTSTRAP = {"raw-bootstrap", "reflected-bootstrap", "bootstrap-t", "hall-bootstrap"}
 
+# model -> its exact CD, from the data array and the known sigma (None when unknown);
+# each row looks its constructor up when called, so a patched global sees each build
+_EXACT_CDS = {
+    "normal-mean-known-sigma": lambda data, sigma: normal_mean_cd(DataSample(data), sigma),
+    "normal-mean-unknown-sigma": lambda data, _sigma: normal_mean_cd(DataSample(data)),
+    "normal-variance": lambda data, _sigma: normal_variance_cd(DataSample(data)),
+    "bivariate-normal-correlation": lambda data, _sigma: fisher_z_corr_cd(PairedSample(data)),
+    "exponential-rate": lambda data, _sigma: exponential_rate_cd(DataSample(data)),
+}
+# known-sigma normal approximations: (centre of the data, factor on sigma / sqrt(n))
+_ASYMPTOTIC = {
+    "asymptotic-mean": (np.mean, 1.0),
+    "asymptotic-median": (np.median, math.sqrt(math.pi / 2.0)),
+    "mis-scaled-pivot": (np.mean, 0.5),
+}
+
 
 def _thread_count() -> int:
     raw = os.environ.get("CDKIT_THREADS", "1")
@@ -207,28 +223,12 @@ class CdGenerator:
             return self._bootstrap_cd(data, index)
         if self.constructor == "likelihood":
             return self._likelihood_cd(data)
-        if self.model == "bivariate-normal-correlation":
-            return fisher_z_corr_cd(PairedSample(data))
-        sample = DataSample(data)
-        if self.model == "normal-mean-known-sigma":
-            sigma = self._param("sigma", 1.0)
-            if self.constructor == "pivot":
-                return normal_mean_cd(sample, sigma=sigma)
-            scale = sigma / math.sqrt(self.n)
-            if self.constructor == "asymptotic-mean":
-                return location_scale_cd(pk.Normal(0.0, 1.0), sample.mean, scale)
-            if self.constructor == "asymptotic-median":
-                return location_scale_cd(pk.Normal(0.0, 1.0), float(np.median(data)),
-                                         scale * math.sqrt(math.pi / 2.0))
-            if self.constructor == "mis-scaled-pivot":
-                return location_scale_cd(pk.Normal(0.0, 1.0), sample.mean, 0.5 * scale)
-        if self.model == "normal-mean-unknown-sigma":
-            return normal_mean_cd(sample)
-        if self.model == "normal-variance":
-            return normal_variance_cd(sample)
-        if self.model == "exponential-rate":
-            return exponential_rate_cd(sample)
-        raise ConfigError(f"unhandled constructor {self.constructor!r}")  # pragma: no cover
+        sigma = self._param("sigma", 1.0)
+        if self.constructor == "pivot":
+            return _EXACT_CDS[self.model](data, sigma)
+        centre, factor = _ASYMPTOTIC[self.constructor]
+        scale = sigma / math.sqrt(self.n)
+        return location_scale_cd(pk.Normal(0.0, 1.0), float(centre(data)), scale * factor)
 
     def _bootstrap_cd(self, data, index):
         sample = DataSample(data)

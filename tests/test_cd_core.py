@@ -271,6 +271,12 @@ def test_decreasing_transform_keeps_the_deep_tails():
     # g^{-1} by root finding: the search for it runs out to the largest double
     (lambda t: -t, "decreasing", 1e70, 1.0),
     (lambda t: -t, "decreasing", -1e70, 0.0),
+    # the step that crosses the root is the bracket: the whole searched span
+    # would overflow
+    (lambda t: -t, "decreasing", 5e307, 1.0),
+    (lambda t: -t, "decreasing", -5e307, 0.0),
+    (lambda t: -t, "decreasing", 1e308, 1.0),
+    (lambda t: -t, "decreasing", -1e308, 0.0),
     # exp overflows past t = 709.8, which is past the root, not a failure
     (math.exp, "increasing", 1e250, 1.0),
     (math.exp, "increasing", 1e-250, 0.0),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cdkit import cli
-from cdkit.cd_core import cd_quantile, load_cd_csv
+from cdkit.cd_core import cd_quantile, load_cd_csv, save_cd_csv
 from cdkit.cli import run
 from cdkit.constructors import (
     DataSample,
@@ -218,6 +218,25 @@ class TestFamilyFiles:
             got = json.loads(stdout)["report"]
             want_report = support_report(cd, NullRegion.from_json(region))
             assert (got["p_s"], got["p_w"]) == (want_report.p_s, want_report.p_w)
+
+    @pytest.mark.parametrize("model,sigma,lab_model,params", [
+        ("normal-mean", "known=0.9", "normal-mean-known-sigma", {"sigma": 0.9}),
+        ("normal-mean", "unknown", "normal-mean-unknown-sigma", {}),
+        ("normal-variance", "unknown", "normal-variance", {}),
+        ("correlation", "unknown", "bivariate-normal-correlation", {}),
+        ("exponential-rate", "unknown", "exponential-rate", {}),
+    ])
+    def test_construct_writes_the_cd_the_lab_calibrates(self, capsys, tmp_path, model, sigma,
+                                                        lab_model, params):
+        data, _ = _dataset(tmp_path, model, sigma)
+        out = tmp_path / "cd.csv"
+        assert _run(capsys, ["construct", "--model", model, "--sigma", sigma,
+                             "--data", data, "--out", str(out)])[0] == 0
+        rows = np.loadtxt(data, delimiter=",", skiprows=1)
+        gen = CdGenerator(lab_model, "pivot", len(rows), 0.5, 1, params)
+        save_cd_csv(gen.build_cd(rows, 0), tmp_path / "lab.csv")
+        assert out.read_bytes() == (tmp_path / "lab.csv").read_bytes()
+        assert out.read_bytes().count(b"\n") == 1  # the spec line alone
 
     def test_known_sigma_deep_tail_survives_the_file(self, capsys, tmp_path):
         z = np.random.default_rng(20).normal(size=20)

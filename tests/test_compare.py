@@ -236,6 +236,12 @@ class TestMcDispersion:
         with pytest.raises(ConfigError):
             mc_dispersion(z_gen, SquaredError, 99)
 
+    def test_scalar_only_loss_is_read_element_by_element(self, z_gen):
+        # math.fabs takes no array; abs is exact, so both losses agree exactly
+        loss = LossSpec("abs", lambda x, theta: math.fabs(x - theta))
+        assert np.array_equal(mc_dispersion(z_gen, loss, 100).values,
+                              mc_dispersion(z_gen, Absolute, 100).values)
+
 
 class TestRisk:
     def test_ks_at_truth_constant(self, z_gen):
@@ -269,6 +275,15 @@ class TestRisk:
     def test_reps_floor(self, z_gen):
         with pytest.raises(ConfigError):
             risk(z_gen, point_risk(THETA0), 50)
+
+    def test_scalar_only_psi_and_weight_are_read_element_by_element(self, z_gen):
+        # math.sqrt takes no array (TypeError) and a chained comparison has no
+        # array truth value (ValueError); sqrt is correctly rounded either way
+        want = risk(z_gen, uniform_risk(-1.0, 1.0, psi=np.sqrt), 100).values
+        assert np.array_equal(risk(z_gen, uniform_risk(-1.0, 1.0, psi=math.sqrt), 100).values,
+                              want)
+        boxcar = RiskSpec(np.sqrt, lambda x: 0.5 if -1.0 <= x <= 1.0 else 0.0, (-1.0, 1.0))
+        assert np.array_equal(risk(z_gen, boxcar, 100).values, want)
 
 
 class TestBahadurSlopes:

@@ -22,6 +22,7 @@ from cdkit.probkernel import (
     bracket_root,
     cdf,
     log_tail,
+    maximize,
     quantile,
 )
 
@@ -343,3 +344,15 @@ def test_bracket_root_expands_and_respects_edges():
     # function blowing up at a finite edge still brackets
     r2 = bracket_root(lambda x: math.atanh(x) - 0.5, -1.0, 1.0)
     assert abs(r2 - math.tanh(0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("root", [5e307, -5e307, 1e308, -1e308])
+def test_bracket_root_finds_a_root_near_the_largest_double(root):
+    # the doubling search's whole span overflows; the step that crossed is the bracket
+    assert bracket_root(lambda t: root - t, -math.inf, math.inf) == pytest.approx(root, rel=1e-12)
+    assert bracket_root(lambda t: t - root, -math.inf, math.inf) == pytest.approx(root, rel=1e-12)
+
+
+def test_maximize_returns_the_argmax_and_the_value_there():
+    x, fx = maximize(lambda t: -(t - 0.3) ** 2, -1.0, 2.0)
+    assert x == pytest.approx(0.3, abs=1e-7) and fx == -(x - 0.3) ** 2
