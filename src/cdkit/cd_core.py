@@ -6,8 +6,8 @@ space.  Three representations cover the toolkit:
 * ``analytic``: a pivot.  A base law G from :mod:`cdkit.probkernel`, the
   tail of G that H reads (``side``), a monotone map psi (``to_base``) and its
   inverse (``from_base``): H(x) is that tail of G at psi(x), and
-  Q(s) = psi^-1(G's quantile of s on that side), psi^-1 by root finding on
-  psi when it is absent.  The log tails are G's at psi(x), exact far past double
+  Q(s) = psi^-1(G's quantile of s on that side), or a search of H when
+  psi^-1 is absent.  The log tails are G's at psi(x), exact far past double
   underflow.  A bare CDF callable is the pivot on Uniform01 whose psi is H;
 * ``grid``: piecewise-linear CDF on strictly increasing knots, with any
   mass below the first knot value or above the last one on the end knots;
@@ -19,7 +19,9 @@ inverse inf{x : H(x) >= s} throughout; a sample CD's stops at the first atom
 whose H reaches s - 1e-12, so a probability one rounding off a multiple of
 1/n (1 - 0.95 is not 0.05) still lands on its atom.  A family CD's is psi^-1
 of the base quantile as it rounds; every other analytic CD's moves by ulps
-from there to the smallest double x with H(x) >= s.
+from there to the smallest double x with H(x) >= s, or, with no psi^-1,
+bisects the ordered doubles for it.  One search on the ordered doubles also
+inverts a transform's g when no g^-1 is given.
 
 The named exact CDs are family CDs.  A small frozen ``FamilySpec`` names a
 row of one table (location-scale over Normal or Student-t, inverse
@@ -87,8 +89,8 @@ class ConfidenceDistribution:
 
     An analytic CD is the pivot (base, side, to_base, from_base): H(x) is
     ``pk.cdf(base, to_base(x), side)`` and Q(s) is
-    ``from_base(pk.quantile(base, s, side))``, from_base by root finding on
-    to_base when it is None."""
+    ``from_base(pk.quantile(base, s, side))``, or the smallest double at
+    which H reaches s when from_base is None."""
 
     kind: str
     support: tuple[float, float]
@@ -128,7 +130,7 @@ def analytic_cd(cdf, support=_REAL_LINE, *, quantile=None, density=None,
                 meta=None) -> ConfidenceDistribution:
     """An analytic CD from a vectorized CDF callable, with an optional exact
     quantile and density: the pivot on Uniform01 whose map is H itself and
-    whose inverse is Q (root finding on H when Q is omitted).  Its log tails
+    whose inverse is Q (a search of H when Q is omitted).  Its log tails
     are log H and log(1 - H); exact deep tails come from a base law, through
     :func:`cdkit.constructors.from_pivot`."""
     return _pivot_cd(pk.Uniform01(), "lower", cdf, quantile, support, density_fn=density,
@@ -394,27 +396,47 @@ def _ordered(i):
     return np.where(i < 0, _MIN_INT - i, i)
 
 
-def _generalized_inverse(cd, guess, s):
-    """The smallest double x with H(x) >= s, for 1-D arrays, searched on the
-    ordered bits of the doubles: gallop from the guess by 1, 2, 4, ... ulps
-    while the bracket has an infinite end, then bisect.  H is taken as 0 at
-    -inf and 1 at inf, so the bracket always closes."""
-    def reaches(key, at):
-        return cd_eval(cd, _ordered(key).view(float)) >= s[at]
-
-    k = np.clip(_ordered(guess.view(np.int64)), -_INF_KEY, _INF_KEY)
-    reached = reaches(k, slice(None))
-    lo, hi = np.where(reached, -_INF_KEY, k), np.where(reached, k, _INF_KEY)
-    step = 1
-    while (live := hi - 1 > lo).any():
-        a, b = lo[live], hi[live]
+def _least_double(reaches, guess):
+    """For each element of the 1-D array guess, the smallest double x at which
+    the monotone predicate turns true, searched on the ordered bits of the
+    doubles.  ``reaches(x, at)`` takes the probes x of the elements that the
+    mask ``at`` selects; it counts as false at -inf and true at inf, so the
+    bracket always closes.  From a finite guess the search gallops by 1, 2,
+    4, ... ulps while the bracket has an infinite end, then bisects; a guess
+    that is not finite bisects the whole line, in at most 64 probes."""
+    finite = np.isfinite(guess)
+    lo, hi = np.full(guess.shape, -_INF_KEY), np.full(guess.shape, _INF_KEY)
+    probe = np.where(finite, _ordered(guess.view(np.int64)), 0)
+    step = np.where(finite, 1, 2 ** 62)  # a step past half the line makes every probe a midpoint
+    live = np.ones(guess.shape, bool)
+    while live.any():
+        p = probe[live]
+        hit = reaches(_ordered(p).view(float), live)
+        hi[live], lo[live] = np.where(hit, p, hi[live]), np.where(hit, lo[live], p)
+        live = hi - 1 > lo
+        a, b, k = lo[live], hi[live], step[live]
         mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2); a + b may overflow
-        probe = np.where(a == -_INF_KEY, b - np.minimum(step, b - mid),
-                         np.where(b == _INF_KEY, a + np.minimum(step, mid - a), mid))
-        hit = reaches(probe, live)
-        hi[live], lo[live] = np.where(hit, probe, b), np.where(hit, a, probe)
-        step = min(2 * step, 2 ** 62)
+        probe[live] = np.where(a == -_INF_KEY, b - np.minimum(k, b - mid),
+                               np.where(b == _INF_KEY, a + np.minimum(k, mid - a), mid))
+        step[live] = 2 * np.minimum(k, 2 ** 61)
     return _ordered(hi).view(float)
+
+
+def _reaches(f, target, support, sign=1.0):
+    """The predicate sign * f(x) >= sign * target for :func:`_least_double`,
+    f rising with sign on the support.  Beyond the support, and where f is
+    nan (it failed to evaluate), f counts as blowing up toward the nearer
+    support edge: exp overflowing past 709.8 still lies past the root."""
+    lo, hi = support
+    centre = 0.5 * (lo + hi) if math.isfinite(lo + hi) else min(max(0.0, lo), hi)
+
+    def reaches(x, at):
+        inside = (x > lo) & (x < hi)
+        with np.errstate(all="ignore"):
+            fx = sign * f(x)
+        return np.where(inside & ~np.isnan(fx), fx >= sign * target[at],
+                        np.where(inside, x > centre, x >= hi))
+    return reaches
 
 
 def cd_quantile(cd: ConfidenceDistribution, s):
@@ -422,23 +444,18 @@ def cd_quantile(cd: ConfidenceDistribution, s):
 
     A sample CD's is inf{x : H(x) >= s - 1e-12}.  A family CD's is psi^-1 of
     the base quantile, the bytes that the cached base quantiles in
-    :mod:`cdkit.inference` give.  Any other analytic CD's moves from there
-    (psi^-1 by root finding when absent) to the smallest double x with
-    H(x) >= s."""
+    :mod:`cdkit.inference` give.  Any other analytic CD's is the smallest
+    double x with H(x) >= s, searched from psi^-1 of the base quantile, or
+    on the whole line when psi^-1 is absent."""
     arr, scalar = _shape_in(s)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("cd_quantile needs probabilities strictly in (0, 1)")
     if cd.kind == "analytic":
-        b = pk.quantile(cd.base, arr, cd.side)
-        if cd.from_base is not None:
-            out = cd.from_base(b)
-        else:  # psi^-1 by root finding
-            lo, hi = cd.support
-            out = np.array([pk.bracket_root(lambda t, bi=bi: float(cd.to_base(t)) - bi, lo, hi)
-                            for bi in np.ravel(b)])
+        out = (np.full(arr.shape, math.nan) if cd.from_base is None
+               else cd.from_base(pk.quantile(cd.base, arr, cd.side)))
         if cd.family is None:
-            out = _generalized_inverse(cd, np.ravel(np.asarray(out, dtype=float)),
-                                       np.ravel(arr)).reshape(arr.shape)
+            out = _least_double(_reaches(partial(cd_eval, cd), np.ravel(arr), cd.support),
+                                np.ravel(np.asarray(out, dtype=float))).reshape(arr.shape)
     elif cd.kind == "grid":
         out = _grid_quantile(cd, arr)
     elif cd.kind == "sample":
@@ -527,23 +544,40 @@ class CdRandomVariable:
 # ---------------------------------------------------------------------------
 # transforms and intervals
 
+def _try_eval(f, x):
+    """f(x), or nan where f fails to evaluate."""
+    try:
+        return f(x)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
 def _elementwise(f, x):
-    """f of each element of x; a scalar x gives a float."""
+    """f on the whole array x, or on each element when f does not vectorize
+    (math.sqrt, say); a scalar x gives a float."""
     xa = np.asarray(x, dtype=float)
     if xa.ndim == 0:
         return float(f(float(xa)))
+    try:
+        vals = np.asarray(f(xa), dtype=float)
+        if vals.shape == xa.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
     return np.array([float(f(v)) for v in xa.ravel()]).reshape(xa.shape)
 
 
 def _spot_check_monotone(f, cd, direction, what):
     """Raise MonotonicityError unless the 101 quantiles of cd from 0.001 to
-    0.999 rise and f at them is finite and moves in ``direction``, within
-    1e-12 of its scale."""
+    0.999 lie inside the largest doubles and rise, and f at them is finite
+    and moves in ``direction``, within 1e-12 of its scale.  A quantile at
+    the largest double means H never fell below s, or never reached it, on
+    the line: a pivot whose range misses part of its law's."""
     xs = cd_quantile(cd, np.linspace(0.001, 0.999, 101))
     with np.errstate(all="ignore"):
         ys = _elementwise(f, xs)
-    if not np.all(np.isfinite(ys)):
-        raise MonotonicityError(f"{what} is not finite across the central quantile range")
+    if not (np.all(np.abs(xs) < np.finfo(float).max) and np.all(np.isfinite(ys))):
+        raise MonotonicityError(f"the CD or the {what} is not finite across the central quantiles")
     sign = 1.0 if direction == "increasing" else -1.0
     scale = max(float(np.max(np.abs(ys))), 1.0)
     if not (np.all(np.diff(xs) >= 0.0) and np.all(sign * np.diff(ys) >= -1e-12 * scale)
@@ -560,9 +594,10 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
     gives a pivot on the same base law with maps psi(g^-1(y)) and
     g(psi^-1(b)), read on the other side of the law when g decreases; a grid
     CD, or an analytic CD without psi^-1, is its own pivot on Uniform01 (psi
-    is H, psi^-1 is Q).  The new support is g of the old edges; an edge where
-    g gives no finite number is unbounded; a grid's starts an ulp below, to
-    keep its end masses.
+    is H, psi^-1 is Q).  Without ``g_inverse``, g^-1(y) is the smallest t on
+    the old support with g(t) >= y (g(t) <= y when g decreases).  The new
+    support is g of the old edges; an edge where g gives no finite number is
+    unbounded; a grid's starts an ulp below, to keep its end masses.
     """
     if direction not in ("increasing", "decreasing"):
         raise ParameterDomainError("direction must be 'increasing' or 'decreasing'")
@@ -581,25 +616,27 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
 
     increasing = direction == "increasing"
     lo, hi = cd.support
+    g_or_nan = partial(_elementwise, partial(_try_eval, g))
     with np.errstate(all="ignore"):
-        edges = (pk._try_eval(g, lo), pk._try_eval(g, hi))
+        edges = (float(g_or_nan(lo)), float(g_or_nan(hi)))
     new_lo, new_hi = edges if increasing else edges[::-1]
     new_lo = new_lo if math.isfinite(new_lo) else -math.inf
     new_hi = new_hi if math.isfinite(new_hi) else math.inf
     if not new_lo < new_hi:
         new_lo, new_hi = -math.inf, math.inf
-    # at and beyond the new edges g^{-1} is the old edge: g may have no inverse there
     under_lo, under_hi = (lo, hi) if increasing else (hi, lo)
+    sign = 1.0 if increasing else -1.0
 
     def ginv(y):
-        y = float(y)
-        if y <= new_lo:
-            return under_lo
-        if y >= new_hi:
-            return under_hi
-        if g_inverse is not None:
-            return min(max(float(g_inverse(y)), lo), hi)
-        return pk.bracket_root(lambda t: float(g(t)) - y, lo, hi)
+        # at and beyond the new edges g^{-1} is the old edge: g may have no inverse there
+        y = np.asarray(y, dtype=float)
+        t = np.where(y <= new_lo, under_lo, np.where(y >= new_hi, under_hi, math.nan))
+        inside = (y > new_lo) & (y < new_hi)
+        inner = y[inside]
+        t[inside] = (np.clip(_elementwise(g_inverse, inner), lo, hi) if g_inverse is not None
+                     else _least_double(_reaches(g_or_nan, inner, (lo, hi), sign),
+                                        np.full(inner.size, math.nan)))
+        return t
 
     if cd.kind == "analytic" and cd.from_base is not None:
         base, side, psi, psi_inv = cd.base, cd.side, cd.to_base, cd.from_base
@@ -610,8 +647,8 @@ def transform_cd(cd: ConfidenceDistribution, g, direction: str,
     # below; an analytic H is 0 there already and keeps g of its edge as support
     support = (math.nextafter(new_lo, -math.inf) if cd.kind == "grid" else new_lo, new_hi)
     return _pivot_cd(base, side if increasing else _OTHER_SIDE[side],
-                     lambda y: psi(_elementwise(ginv, y)),
-                     lambda b: _elementwise(g, psi_inv(b)), support, meta=cd.meta)
+                     lambda y: psi(ginv(y)), lambda b: g_or_nan(psi_inv(b)), support,
+                     meta=cd.meta)
 
 
 def _interval_probs(level: float) -> tuple[float, float]:

@@ -22,7 +22,13 @@ from .compare import (
     dump_slopes,
     paired_compare,
 )
-from .errors import CdkitError, ConfigError, PairingError, ParameterDomainError
+from .errors import (
+    CdkitError,
+    ConfigError,
+    NonintegrableCdError,
+    PairingError,
+    ParameterDomainError,
+)
 from .inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from .multivariate import (
     DepthSpec,
@@ -85,7 +91,11 @@ def _parse_vector(text: str) -> list:
 
 def _point_estimates(cd) -> dict:
     mode = None if cd.kind == "sample" else cd_mode(cd)  # atoms have no density
-    return {"median": cd_median(cd), "mean": cd_mean(cd), "mode": mode}
+    try:
+        mean = cd_mean(cd)
+    except NonintegrableCdError:  # a CD with tails too heavy for a mean
+        mean = None
+    return {"median": cd_median(cd), "mean": mean, "mode": mode}
 
 
 def _cmd_construct(args) -> dict:

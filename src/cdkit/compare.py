@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import probkernel as pk
 from .cd_core import (
     ConfidenceDistribution,
+    _elementwise,
     cd_eval,
     cd_log_lower,
     cd_log_upper,
@@ -42,7 +42,7 @@ from .cd_core import (
     write_table,
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
-from .inference import _expect, _quantiles
+from .inference import _expect, _gauss_legendre, _quantiles
 from .simlab import CdGenerator, map_indexed
 
 _RISK_POINTS = 256
@@ -135,17 +135,6 @@ def default_risk(theta0: float, scale: float, psi=identity_psi) -> RiskSpec:
 # ---------------------------------------------------------------------------
 # dispersion
 
-def _apply(f, x: np.ndarray) -> np.ndarray:
-    """f(x) on the whole array, or f of each element when f does not vectorize."""
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):  # f takes scalars only, math.sqrt say
-        pass
-    return np.array([float(f(v)) for v in x])
-
-
 def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float) -> float:
     """Integral of phi(x, theta0) dH(x) for one realized CD.
 
@@ -155,7 +144,7 @@ def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float)
     before its node quantiles are computed.
     """
     theta0 = float(theta0)
-    phi = lambda x: _apply(lambda v: loss.phi(v, theta0), x)
+    phi = lambda x: _elementwise(lambda v: loss.phi(v, theta0), x)
     probes = _quantiles(cd, "probes")
     q25, q75 = float(probes[1]), float(probes[2])
     loss.spot_check(theta0, max(q75 - q25, 1e-6 * (1.0 + abs(theta0))))
@@ -214,16 +203,16 @@ def _risk_reader(spec: RiskSpec, theta0: float):
             h0 = float(h[0])
             return float(spec.psi(max(h0, 1.0 - h0)))
         return np.array([lo]), reduce_point
-    x, gw = pk.gauss_legendre(_RISK_POINTS)
+    x, gw = _gauss_legendre(_RISK_POINTS)
     xs = lo + (hi - lo) * (0.5 * (x + 1.0))
-    dens = _apply(spec.weight_density, xs)
+    dens = _elementwise(spec.weight_density, xs)
     if not np.all(np.isfinite(dens)) or np.any(dens < 0.0):
         raise ParameterDomainError("weight density must be finite and nonnegative")
     wts = (hi - lo) * (0.5 * gw) * dens
     upper = xs >= theta0
 
     def reduce(h):
-        return float(np.dot(wts, _apply(spec.psi, np.where(upper, 1.0 - h, h))))
+        return float(np.dot(wts, _elementwise(spec.psi, np.where(upper, 1.0 - h, h))))
     return xs, reduce
 
 

@@ -6,7 +6,8 @@ H(x) = G(psi(data, x)) when psi increases in theta, and 1 - G(psi(data, x))
 when it decreases.  That is an analytic CD as :mod:`cdkit.cd_core` holds
 one, a pivot: the base law G, the tail of G that H reads, psi and its
 inverse.  ``from_pivot`` builds it from any pivot, with no inverse, so its
-quantiles invert psi by root finding.  The named constructors are closed-form
+quantile of s is the smallest double at which H reaches s, searched on H
+itself.  The named constructors are closed-form
 instances: each returns a family CD, a row of the family table that holds
 psi^-1 as well, so its quantiles are maps of G's.  Either way the log-space
 tails are G's own, exact far past double underflow.
@@ -28,15 +29,14 @@ from .cd_core import (
     _elementwise,
     _pivot_cd,
     _spot_check_monotone,
+    _try_eval,
     family_cd,
     location_scale_cd,
 )
 from .errors import (
     DegenerateSampleError,
     InsufficientDataError,
-    MonotonicityError,
     ParameterDomainError,
-    RootBracketError,
 )
 
 __all__ = [
@@ -140,20 +140,13 @@ class PivotSpec:
 def from_pivot(spec: PivotSpec, data, support=(-math.inf, math.inf)) -> ConfidenceDistribution:
     """CD by pivot substitution: the pivot on ``spec.law`` whose map is
     psi(data, .), read on the law's upper tail when psi decreases in theta.
-    Quantiles invert psi by bracketed root finding; the declared direction
-    is spot-checked on them.
+    With no psi^-1, Q searches H; where psi fails to evaluate, H is nan.  The
+    declared direction is spot-checked on the quantiles.
     """
     psi = partial(spec.psi, data)
     side = "lower" if spec.direction == "increasing" else "upper"
-    cd = _pivot_cd(spec.law, side, partial(_elementwise, psi), None, support)
-    try:
-        _spot_check_monotone(psi, cd, spec.direction, "pivot")
-    except RootBracketError as exc:
-        # a monotone pivot matching its declared law always brackets
-        raise MonotonicityError(
-            f"pivot could not be inverted across the law's central range; "
-            f"it is likely not {spec.direction} in theta ({exc})"
-        ) from exc
+    cd = _pivot_cd(spec.law, side, partial(_elementwise, partial(_try_eval, psi)), None, support)
+    _spot_check_monotone(psi, cd, spec.direction, "pivot")
     return cd
 
 

@@ -56,10 +56,6 @@ class OptimizationFailureError(CdkitError, ArithmeticError):
         self.theta = theta
 
 
-class RootBracketError(CdkitError, ArithmeticError):
-    """A root finder could not bracket its target."""
-
-
 class PartitionError(CdkitError, ValueError):
     """Regions handed to a classifier do not partition the support."""
 

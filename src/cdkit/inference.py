@@ -110,17 +110,26 @@ def cd_median(cd: ConfidenceDistribution) -> float:
 _TAIL_EPS = 1e-6
 # the probe quantiles every expectation, integral of f dH, reads first
 _PROBES = np.array([_TAIL_EPS, 0.25, 0.75, 1.0 - _TAIL_EPS])
-# scipy.special.roots_legendre(2048), tabulated as its nodes x > 0 and their weights
-# (the rule is symmetric): its 0.15 s build would slow every one-shot mean
-_RULE_FILE = Path(__file__).with_name("gauss_legendre_2048.csv")
+
+
+@lru_cache(maxsize=2)
+def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of Gauss-Legendre on [-1, 1] at 256 or 2048 points:
+    scipy.special.roots_legendre(npts), tabulated as its nodes x > 0 and their
+    weights (the rule is symmetric).  Building the 2048 rule takes scipy
+    0.15 s, which would slow every one-shot mean."""
+    xp, wp = read_table(Path(__file__).with_name(f"gauss_legendre_{npts}.csv"))[1].T
+    x, w = np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=1)
 def _rule():
     """Nodes s = 3v^2 - 2v^3 and weights of the 2048-point rule, and their sum:
     Gauss-Legendre on v in (0, 1), which the cubic map packs into the tails."""
-    xp, wp = read_table(_RULE_FILE)[1].T
-    x, gw = np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
+    x, gw = _gauss_legendre(2048)
     v = 0.5 * (x + 1.0)
     s = 3.0 * v * v - 2.0 * v ** 3
     w = 0.5 * gw * 6.0 * v * (1.0 - v)

@@ -12,16 +12,14 @@ incomplete gamma's and the incomplete beta's), read by one Lentz evaluator.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import brentq as _brentq, minimize_scalar as _minimize_scalar
+from scipy.optimize import minimize_scalar as _minimize_scalar
 
-from .errors import OptimizationFailureError, ParameterDomainError, RootBracketError
+from .errors import OptimizationFailureError, ParameterDomainError
 
 __all__ = [
     "RngStream",
@@ -33,8 +31,6 @@ __all__ = [
     "cdf",
     "quantile",
     "log_tail",
-    "gauss_legendre",
-    "bracket_root",
     "maximize",
 ]
 
@@ -147,7 +143,7 @@ def cdf(d: DistKind, x, side: str = "lower") -> float | np.ndarray:
         out = _sp.stdtr(d.df, arr if lower else -arr)
     elif isinstance(d, ChiSquare):
         tail = _sp.chdtr if lower else _sp.chdtrc
-        out = np.where(arr > 0.0, tail(d.df, np.maximum(arr, 0.0)), float(not lower))
+        out = np.where(arr <= 0.0, float(not lower), tail(d.df, np.maximum(arr, 0.0)))
     elif isinstance(d, Uniform01):
         out = np.clip(arr, 0.0, 1.0)
         out = out if lower else 1.0 - out
@@ -287,108 +283,7 @@ def log_tail(d: DistKind, x: float, side: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared numerics
-
-@lru_cache(maxsize=32)
-def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], cached."""
-    # scipy solves the banded Golub-Welsch problem: 0.2 s for 2048 points,
-    # against 2 s for numpy's dense companion-matrix leggauss
-    nodes, weights = _sp.roots_legendre(npts)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _try_eval(f, x: float) -> float:
-    try:
-        v = float(f(x))
-    except (ArithmeticError, ValueError):
-        return math.nan
-    return v
-
-
-def _finite_anchor(f, bound: float, inward: float) -> tuple[float, float]:
-    # back off a finite support edge until f evaluates finite there
-    x = bound
-    fx = _try_eval(f, x)
-    gap = (inward - bound) * 1e-12
-    for _ in range(60):
-        if math.isfinite(fx):
-            return x, fx
-        x = bound + gap
-        fx = _try_eval(f, x)
-        gap *= 10.0
-        if (inward - bound) * (inward - x) <= 0.0:
-            break
-    raise RootBracketError("function is not finite anywhere near a support edge")
-
-
-def _step_out(f, x: float, fx: float, step: float) -> tuple[float, float, float]:
-    # one outward probe at x + step (step signed), kept within the doubles: the
-    # new end, f there and the next step; a probe where f overflows lies past
-    # the root, so the end stays and the step halves
-    t = min(max(x + step, -sys.float_info.max), sys.float_info.max)
-    ft = _try_eval(f, t)
-    return (t, ft, 2.0 * step) if math.isfinite(ft) else (x, fx, 0.5 * step)
-
-
-def _crossed(fa: float, fb: float) -> bool:
-    # signs, not fa * fb < 0: next to a root that product underflows to -0.0
-    return math.isfinite(fa) and math.isfinite(fb) and (fa > 0.0) != (fb > 0.0)
-
-
-def bracket_root(f, lo: float, hi: float) -> float:
-    """Root of a monotone-ish f on (lo, hi); endpoints may be infinite.
-
-    Finite edges are nudged inward if f blows up there; infinite sides are
-    searched by doubling steps, out to the largest double, until a step
-    crosses a sign change: that step alone is the bracket.
-    """
-    inner = 0.0
-    if math.isfinite(lo) and math.isfinite(hi):
-        inner = 0.5 * (lo + hi)
-    elif math.isfinite(lo):
-        inner = lo + 1.0
-    elif math.isfinite(hi):
-        inner = hi - 1.0
-    if math.isfinite(lo):
-        a, fa = _finite_anchor(f, lo, inner)
-    else:
-        a, fa = inner - 1.0, f(inner - 1.0)
-    if math.isfinite(hi):
-        b, fb = _finite_anchor(f, hi, inner)
-    else:
-        b, fb = inner + 1.0, f(inner + 1.0)
-
-    step_b = max(1.0, abs(b - a))
-    step_a = -step_b
-    for _ in range(4096):
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if _crossed(fa, fb):
-            return float(_brentq(f, a, b, xtol=1e-12))
-        grew = False
-        if not math.isfinite(lo) and a > -sys.float_info.max:
-            a0, fa0 = a, fa
-            a, fa, step_a = _step_out(f, a, fa, step_a)
-            if _crossed(fa, fa0):
-                b, fb = a0, fa0
-                continue
-            grew = True
-        if not math.isfinite(hi) and b < sys.float_info.max:
-            b0, fb0 = b, fb
-            b, fb, step_b = _step_out(f, b, fb, step_b)
-            if _crossed(fb, fb0):
-                a, fa = b0, fb0
-                continue
-            grew = True
-        if not grew:
-            break
-    raise RootBracketError(f"could not bracket a sign change on ({lo}, {hi})")
-
+# bounded maximization
 
 def maximize(f, lo: float, hi: float) -> tuple[float, float]:
     """(x, f(x)) at the maximum of f on [lo, hi], by a bounded search to 1e-8."""

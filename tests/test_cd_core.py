@@ -19,6 +19,7 @@ from cdkit.cd_core import (
     cd_log_upper,
     cd_quantile,
     central_interval,
+    family_cd,
     grid_cd,
     load_cd_csv,
     location_scale_cd,
@@ -96,7 +97,7 @@ def test_quantile_cdf_consistency(cd):
 
 def test_quantile_fallback_matches_closed_form():
     cd = _normal_cd()
-    bare = analytic_cd(lambda x: cd_eval(cd, x), cd.support)  # no quantile: root finding
+    bare = analytic_cd(lambda x: cd_eval(cd, x), cd.support)  # no quantile: Q searches H
     for s in (0.025, 0.5, 0.975):
         assert abs(cd_quantile(bare, s) - cd_quantile(cd, s)) < 1e-9
 
@@ -298,6 +299,37 @@ def test_transform_without_inverse_root_finds():
     q = cd_quantile(_normal_cd(), s)
     assert abs(cd_quantile(out, s) - (q ** 3 + q)) < 1e-8
     assert abs(cd_eval(out, q ** 3 + q) - s) < 1e-8
+
+
+def test_transform_without_inverse_inverts_a_map_that_blows_up_at_an_edge():
+    # atanh fails at the fisher-z CD's support edges +-1: it blows up there
+    cd = family_cd(FamilySpec("fisher-z", {"r": 0.4, "n": 30}))
+    found = transform_cd(cd, math.atanh, "increasing")
+    exact = transform_cd(cd, math.atanh, "increasing", g_inverse=math.tanh)
+    ys = np.linspace(-0.5, 1.5, 201)
+    np.testing.assert_allclose(cd_eval(found, ys), cd_eval(exact, ys), rtol=1e-13, atol=0)
+    s = np.linspace(0.001, 0.999, 101)
+    np.testing.assert_allclose(cd_quantile(found, s), cd_quantile(exact, s), rtol=1e-15, atol=0)
+
+
+def test_transform_without_inverse_matches_the_exact_inverse():
+    # g^-1(y) is the smallest t with exp(t) >= y, so H moves by ulps from log's
+    cd = location_scale_cd(StudentT(9.0), 0.3, 0.8)
+    found = transform_cd(cd, math.exp, "increasing")
+    exact = transform_cd(cd, math.exp, "increasing", g_inverse=math.log)
+    ys = np.exp(np.linspace(-4.0, 5.0, 201))
+    np.testing.assert_allclose(cd_eval(found, ys), cd_eval(exact, ys), rtol=1e-14, atol=0)
+
+
+def test_transform_without_inverse_searches_the_support_alone():
+    # -cos(t / 7) rises on the grid's support [10, 20] but turns down past 7 pi
+    knots = np.linspace(10.0, 20.0, 41)
+    cd = grid_cd(knots, cd_eval(location_scale_cd(Normal(), 15.0, 1.0), knots))
+    g = lambda t: -math.cos(t / 7.0)
+    found = transform_cd(cd, g, "increasing")
+    exact = transform_cd(cd, g, "increasing", g_inverse=lambda y: 7.0 * math.acos(-y))
+    ys = np.array([g(t) for t in np.linspace(10.5, 19.5, 19)])
+    np.testing.assert_allclose(cd_eval(found, ys), cd_eval(exact, ys), rtol=0, atol=1e-12)
 
 
 def test_only_location_scale_cd_records_its_structure():

@@ -148,6 +148,23 @@ class TestEstimateAndTest:
             assert code == 2
             assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_a_cd_without_a_mean_reports_a_null_mean(self, capsys, tmp_path):
+        # three rows give an inverse-chi2 CD on df 2, whose mean diverges
+        data = tmp_path / "x.csv"
+        data.write_text("0.5\n1.5\n0.8\n")
+        out = str(tmp_path / "cd.csv")
+        code, stdout, _ = _run(capsys, ["construct", "--model", "normal-variance",
+                                        "--data", str(data), "--out", out])
+        assert code == 0
+        built = json.loads(stdout)["estimates"]
+        code, stdout, _ = _run(capsys, ["estimate", "--cd", out])
+        assert code == 0
+        estimates = json.loads(stdout)["estimates"]
+        assert estimates == built and estimates["mean"] is None
+        assert estimates["median"] == pytest.approx(0.37991, abs=1e-5)
+        scale_ssq = 2.0 * float(np.var([0.5, 1.5, 0.8], ddof=1))
+        assert estimates["mode"] == pytest.approx(scale_ssq / 4.0, rel=1e-8)  # df + 2 = 4
+
     def test_numeric_failure_in_a_family_file_exits_one(self, capsys, tmp_path):
         # the chi-square quantile is 0 at df 1e-300, and scale_ssq / 0 divides by zero
         path = tmp_path / "cd.csv"

@@ -25,7 +25,7 @@ from cdkit.errors import (
     MonotonicityError,
     ParameterDomainError,
 )
-from cdkit.probkernel import Normal, Uniform01
+from cdkit.probkernel import ChiSquare, Normal, Uniform01
 
 RNG = np.random.default_rng(314)
 SAMPLE = DataSample(RNG.normal(1.4, 2.0, size=24))
@@ -214,6 +214,14 @@ def test_pivot_direction_is_verified():
             from_pivot(PivotSpec(psi=psi, law=Normal(), direction=direction), None)
 
 
+def test_a_pivot_whose_range_misses_part_of_its_law_is_rejected():
+    # exp(theta) - 3 > -3, so H > Phi(-3) = 0.00135 everywhere: Q(0.001) would
+    # be the lowest double
+    with pytest.raises(MonotonicityError):
+        from_pivot(PivotSpec(psi=lambda d, th: math.exp(th) - 3.0, law=Normal(),
+                             direction="increasing"), None)
+
+
 def test_decreasing_pivot_keeps_the_deep_tails():
     # H(-9) = P(Z > 9), which 1 - Phi(9) rounds to 0; Q(1e-18) inverts psi at
     # the law's upper quantile of 1e-18, as 1 - 1e-18 = 1 has no lower one
@@ -222,6 +230,17 @@ def test_decreasing_pivot_keeps_the_deep_tails():
     q = cd_quantile(cd, 1e-18)
     assert q == pytest.approx(special.ndtri(1e-18), rel=1e-9)
     assert cd_eval(cd, q) >= 1e-18 > cd_eval(cd, np.nextafter(q, -np.inf))
+
+
+def test_a_pivot_that_overflows_far_out_still_inverts():
+    # math.exp raises past theta = 709.8, where the search of H probes too:
+    # a pivot that fails there blows up toward that support edge
+    cd = from_pivot(PivotSpec(psi=lambda d, th: math.exp(th), law=ChiSquare(3.0),
+                              direction="increasing"), None)
+    s = np.array([1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6])
+    np.testing.assert_allclose(cd_quantile(cd, s), np.log(2.0 * special.gammaincinv(1.5, s)),
+                               rtol=1e-10)
+    assert np.all(cd_eval(cd, cd_quantile(cd, s)) >= s)
 
 
 def test_pivot_log_tails_follow_law():

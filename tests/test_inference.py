@@ -111,6 +111,13 @@ class TestPointEstimators:
         np.testing.assert_allclose(w, 3.0 * gw * v * (1.0 - v), rtol=1e-12)
         assert w_sum == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("npts", [256, 2048])
+    def test_the_tabulated_nodes_are_scipys(self, npts):
+        # the risk reader reads the 256 table, the expectation rule the 2048 one
+        x, w = inference._gauss_legendre(npts)
+        want_x, want_w = roots_legendre(npts)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
     def test_heavy_tailed_mean_rejected(self):
         cauchy = location_scale_cd(StudentT(1.0), 0.0, 1.0)
         with pytest.raises(NonintegrableCdError):

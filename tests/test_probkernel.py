@@ -19,7 +19,6 @@ from cdkit.probkernel import (
     RngStream,
     StudentT,
     Uniform01,
-    bracket_root,
     cdf,
     log_tail,
     maximize,
@@ -335,22 +334,6 @@ def test_parameter_domains():
         StudentT(-1.0)
     with pytest.raises(ParameterDomainError):
         ChiSquare(0.0)
-
-
-def test_bracket_root_expands_and_respects_edges():
-    # root of cdf - 0.975 over the whole line
-    r = bracket_root(lambda x: cdf(Normal(), x) - 0.975, -np.inf, np.inf)
-    assert abs(r - 1.959963984540054) < 1e-9
-    # function blowing up at a finite edge still brackets
-    r2 = bracket_root(lambda x: math.atanh(x) - 0.5, -1.0, 1.0)
-    assert abs(r2 - math.tanh(0.5)) < 1e-9
-
-
-@pytest.mark.parametrize("root", [5e307, -5e307, 1e308, -1e308])
-def test_bracket_root_finds_a_root_near_the_largest_double(root):
-    # the doubling search's whole span overflows; the step that crossed is the bracket
-    assert bracket_root(lambda t: root - t, -math.inf, math.inf) == pytest.approx(root, rel=1e-12)
-    assert bracket_root(lambda t: t - root, -math.inf, math.inf) == pytest.approx(root, rel=1e-12)
 
 
 def test_maximize_returns_the_argmax_and_the_value_there():
