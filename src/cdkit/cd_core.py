@@ -424,11 +424,15 @@ def _least_double(reaches, guess):
 
 def _reaches(f, target, support, sign=1.0):
     """The predicate sign * f(x) >= sign * target for :func:`_least_double`,
-    f rising with sign on the support.  Beyond the support, and where f is
-    nan (it failed to evaluate), f counts as blowing up toward the nearer
-    support edge: exp overflowing past 709.8 still lies past the root."""
+    f rising with sign on the support.  Beyond the support, f counts as
+    blowing up toward the nearer edge; where f is nan (it failed to
+    evaluate), toward the edge on its side of an interior centre: the
+    midpoint of a bounded support, one in from the finite edge of a
+    half-line, 0 on the whole line.  So exp overflowing past 709.8 still
+    lies past the root, and exp(1 / t) failing near t = 0 lies before it."""
     lo, hi = support
-    centre = 0.5 * (lo + hi) if math.isfinite(lo + hi) else min(max(0.0, lo), hi)
+    centre = (0.5 * (lo + hi) if math.isfinite(lo + hi) else lo + 1.0 if math.isfinite(lo)
+              else hi - 1.0 if math.isfinite(hi) else 0.0)
 
     def reaches(x, at):
         inside = (x > lo) & (x < hi)

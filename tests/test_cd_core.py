@@ -287,6 +287,16 @@ def test_transform_without_inverse_reaches_far_out(g, direction, y, want):
     assert cd_eval(out, y) == want
 
 
+def test_transform_without_inverse_is_exact_near_the_largest_double():
+    # the smallest t with -t <= y is -y itself, so H is the exact inverse's to the bit
+    cd = location_scale_cd(Normal(), 0.0, 1e307)
+    found = transform_cd(cd, lambda t: -t, "decreasing")
+    exact = transform_cd(cd, lambda t: -t, "decreasing", g_inverse=lambda y: -y)
+    ys = np.array([-1e308, -5e307, -1e307, 1e307, 5e307, 1e308])
+    np.testing.assert_array_equal(cd_eval(found, ys), cd_eval(exact, ys))
+    assert 0.0 < cd_eval(found, -5e307) < 1e-6 and 1.0 - 1e-6 < cd_eval(found, 5e307) < 1.0
+
+
 def test_transform_cdf_matches_lognormal():
     out = transform_cd(_normal_cd(), math.exp, "increasing", g_inverse=math.log)
     for x in (0.4, 1.0, 2.5):
@@ -310,6 +320,17 @@ def test_transform_without_inverse_inverts_a_map_that_blows_up_at_an_edge():
     np.testing.assert_allclose(cd_eval(found, ys), cd_eval(exact, ys), rtol=1e-13, atol=0)
     s = np.linspace(0.001, 0.999, 101)
     np.testing.assert_allclose(cd_quantile(found, s), cd_quantile(exact, s), rtol=1e-15, atol=0)
+
+
+def test_transform_without_inverse_inverts_a_map_that_fails_near_a_half_line_edge():
+    # exp(1 / t) overflows for t < 0.0014 on the chi2-rate CD's support (0, inf):
+    # there it blows up toward the edge at 0, before the root
+    cd = family_cd(FamilySpec("chi2-rate", {"n": 5, "total": 3.0}))
+    g = lambda t: math.exp(1.0 / t)
+    found = transform_cd(cd, g, "decreasing")
+    exact = transform_cd(cd, g, "decreasing", g_inverse=lambda y: 1.0 / math.log(y))
+    ys = np.exp(np.linspace(0.05, 6.0, 201))
+    np.testing.assert_allclose(cd_eval(found, ys), cd_eval(exact, ys), rtol=1e-12, atol=0)
 
 
 def test_transform_without_inverse_matches_the_exact_inverse():

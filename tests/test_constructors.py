@@ -243,6 +243,17 @@ def test_a_pivot_that_overflows_far_out_still_inverts():
     assert np.all(cd_eval(cd, cd_quantile(cd, s)) >= s)
 
 
+def test_a_pivot_that_fails_near_a_half_line_edge_still_inverts():
+    # exp(1 / theta) overflows for theta < 0.0014 on the support (0, inf): the
+    # search of H counts it as blowing up toward the edge at 0
+    cd = from_pivot(PivotSpec(psi=lambda d, th: math.exp(1.0 / th) - 1.0, law=ChiSquare(3.0),
+                              direction="decreasing"), None, support=(0.0, math.inf))
+    s = np.array([1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6])
+    np.testing.assert_allclose(cd_quantile(cd, s),
+                               1.0 / np.log1p(2.0 * special.gammainccinv(1.5, s)), rtol=1e-10)
+    assert np.all(cd_eval(cd, cd_quantile(cd, s)) >= s)
+
+
 def test_pivot_log_tails_follow_law():
     spec = PivotSpec(psi=lambda d, th: (th - d.mean) / (2.0 / math.sqrt(d.n)),
                      law=Normal(), direction="increasing")
