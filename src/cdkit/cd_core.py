@@ -47,9 +47,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
-from scipy import special as _sp
 
 from . import probkernel as pk
+from .probkernel import _shape_in, _shape_out
 from .errors import (
     MonotonicityError,
     ParameterDomainError,
@@ -167,24 +167,6 @@ class FamilySpec:
             raise ParameterDomainError(f"{self.name} needs {row.domain}, got {dict(self.params)}")
 
 
-def _normal_pdf(z):
-    return np.exp(-0.5 * np.asarray(z, float) ** 2) / math.sqrt(2.0 * math.pi)
-
-
-def _t_pdf(df, z):
-    z = np.asarray(z, float)
-    c = _sp.gammaln((df + 1.0) / 2.0) - _sp.gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
-    return np.exp(c - 0.5 * (df + 1.0) * np.log1p(z * z / df))
-
-
-def _chi2_pdf(df, x):
-    x = np.asarray(x, float)
-    a = df / 2.0
-    with np.errstate(all="ignore"):
-        out = np.exp((a - 1.0) * np.log(x) - x / 2.0 - a * math.log(2.0) - _sp.gammaln(a))
-    return np.where(x > 0.0, out, 0.0)
-
-
 def _positive(x):
     return np.maximum(np.asarray(x, float), 1e-300)
 
@@ -197,7 +179,8 @@ def _fisher_pivot(x, r, n):
 
 class _Row(NamedTuple):
     """A family as a pivot with its density; each callable takes x or q, if
-    any, then the parameters."""
+    any, then the parameters.  ``density`` takes the base law's density at
+    psi(x) first and scales it by |psi'(x)|."""
 
     domain: str
     valid: Callable
@@ -216,8 +199,7 @@ _FAMILIES = {
         base=lambda loc, scale, df: pk.Normal() if df is None else pk.StudentT(df),
         to_base=lambda x, loc, scale, df: (np.asarray(x, float) - loc) / scale,
         from_base=lambda q, loc, scale, df: loc + scale * q,
-        density=lambda x, loc, scale, df: (_normal_pdf if df is None else partial(_t_pdf, df))(
-            (np.asarray(x, float) - loc) / scale) / scale),
+        density=lambda f, x, loc, scale, df: f / scale),
     # H(x) = P(chi2_df > scale_ssq / x)
     "inverse-chi2-scale": _Row(
         "df > 0 and scale_ssq > 0",
@@ -225,8 +207,7 @@ _FAMILIES = {
         base=lambda df, scale_ssq: pk.ChiSquare(df),
         to_base=lambda x, df, scale_ssq: scale_ssq / _positive(x),
         from_base=lambda q, df, scale_ssq: scale_ssq / q,
-        density=lambda x, df, scale_ssq: _chi2_pdf(df, scale_ssq / _positive(x))
-        * scale_ssq / _positive(x) ** 2,
+        density=lambda f, x, df, scale_ssq: f * scale_ssq / _positive(x) ** 2,
         side="upper"),
     "fisher-z": _Row(
         "|r| < 1 and n > 3",
@@ -234,7 +215,7 @@ _FAMILIES = {
         base=lambda r, n: pk.Normal(),
         to_base=_fisher_pivot,
         from_base=lambda q, r, n: np.tanh(math.atanh(r) + q / math.sqrt(n - 3.0)),
-        density=lambda x, r, n: _normal_pdf(_fisher_pivot(x, r, n)) * math.sqrt(n - 3.0)
+        density=lambda f, x, r, n: f * math.sqrt(n - 3.0)
         / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300)),
     "chi2-rate": _Row(
         "n > 0 and total > 0",
@@ -242,8 +223,7 @@ _FAMILIES = {
         base=lambda n, total: pk.ChiSquare(2.0 * n),
         to_base=lambda x, n, total: 2.0 * total * np.maximum(np.asarray(x, float), 0.0),
         from_base=lambda q, n, total: q / (2.0 * total),
-        density=lambda x, n, total: _chi2_pdf(2.0 * n, 2.0 * total * np.asarray(x, float))
-        * 2.0 * total),
+        density=lambda f, x, n, total: f * 2.0 * total),
 }
 
 
@@ -252,9 +232,10 @@ def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
     the spec's parameters.  ``cd.family`` keeps the spec; no other factory
     sets it."""
     row, p = _FAMILIES[spec.name], dict(spec.params)
-    cd = _pivot_cd(row.base(**p), row.side, partial(row.to_base, **p),
-                   partial(row.from_base, **p), row.support,
-                   density_fn=partial(row.density, **p), meta=meta)
+    base, to_base = row.base(**p), partial(row.to_base, **p)
+    cd = _pivot_cd(base, row.side, to_base, partial(row.from_base, **p), row.support,
+                   density_fn=lambda x: row.density(pk.density(base, to_base(x)), x, **p),
+                   meta=meta)
     object.__setattr__(cd, "family", spec)
     return cd
 
@@ -334,16 +315,6 @@ def sample_cd(atoms, weights=None, *, meta=None) -> ConfidenceDistribution:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def _shape_in(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _shape_out(arr, scalar):
-    arr = np.asarray(arr, dtype=float)
-    return float(arr) if scalar else arr
-
 
 def cd_eval(cd: ConfidenceDistribution, x):
     """H(x), clamped to [0, 1]; 0 below the support, 1 above it."""

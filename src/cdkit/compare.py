@@ -29,9 +29,11 @@ once per base; other CDs evaluate their own.
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import probkernel as pk
 from .cd_core import (
     ConfidenceDistribution,
     _elementwise,
@@ -108,10 +110,9 @@ class RiskSpec:
 
 
 def gaussian_risk(center: float, sd: float = 1.0, psi=identity_psi) -> RiskSpec:
-    if not sd > 0.0:
-        raise ParameterDomainError("weight sd must be positive")
-    dens = lambda x: np.exp(-0.5 * ((x - center) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    return RiskSpec(psi, dens, (center - 8.0 * sd, center + 8.0 * sd), "gaussian")
+    # pk.Normal checks the centre and sd
+    return RiskSpec(psi, partial(pk.density, pk.Normal(center, sd)),
+                    (center - 8.0 * sd, center + 8.0 * sd), "gaussian")
 
 
 def uniform_risk(lo: float, hi: float, psi=identity_psi) -> RiskSpec:

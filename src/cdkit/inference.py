@@ -230,44 +230,36 @@ def _ccf(cd: ConfidenceDistribution, x: float) -> float:
     return 2.0 * min(h, 1.0 - h)
 
 
-def _interval_supports(cd, region, weak=True) -> list:
+def _interval_supports(cd, region) -> list:
     """(strong, weak) support of each interval of the region, each finite end
-    read once and an infinite end by its sign (H(-inf) = 0, H(inf) = 1);
-    weak=False skips the median and leaves weak None."""
-    med = cd_median(cd) if weak else None
+    read once and an infinite end by its sign (H(-inf) = 0, H(inf) = 1)."""
+    med = cd_median(cd)
     parts = []
     for lo, hi in region.intervals:
         bot, top = (cd_eval(cd, x) if math.isfinite(x) else float(x > 0.0) for x in (lo, hi))
-        w = None
-        if weak:
-            # the curve 2 min(H, 1-H) rises to the median then falls, so the
-            # supremum over the interval sits at the endpoint nearest the median
-            h = top if hi < med else bot
-            w = 1.0 if lo <= med <= hi else 2.0 * min(h, 1.0 - h)
+        # the curve 2 min(H, 1-H) rises to the median then falls, so the
+        # supremum over the interval sits at the endpoint nearest the median
+        h = top if hi < med else bot
+        w = 1.0 if lo <= med <= hi else 2.0 * min(h, 1.0 - h)
         parts.append((float(np.clip(top - bot, 0.0, 1.0)), w))
     return parts
 
 
 def strong_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """H-mass of the region; identically 0 for point nulls."""
-    if region.kind == "points":
-        return 0.0
-    return float(np.clip(sum(m for m, _ in _interval_supports(cd, region, weak=False)),
-                         0.0, 1.0))
+    return support_report(cd, region).p_s
 
 
 def weak_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """sup over the region of 2 min(H, 1 - H)."""
-    if region.kind == "points":
-        return max(_ccf(cd, p) for p in region.points)
-    return max(w for _, w in _interval_supports(cd, region))
+    return support_report(cd, region).p_w
 
 
 def iut_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """Union rule for interval unions: the largest single-interval strong support."""
     if region.kind != "intervals":
         raise ParameterDomainError("the union rule applies to interval regions")
-    return max(m for m, _ in _interval_supports(cd, region, weak=False))
+    return support_report(cd, region).p_s_star
 
 
 @dataclass(frozen=True)

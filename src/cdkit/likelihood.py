@@ -5,7 +5,7 @@ the peak is refined by a local quadratic fit, and the curvature there gives
 the unit information i_n with 1/i_n = -(1/n) * d2/dtheta2 at the peak.  The
 normalized curve exp(ell_star)/c_n integrates to one over the window and its
 running integral is a proper CD; the companion Wald CD is the matching
-truncated normal.
+normal, truncated to a window when one is given.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import probkernel as pk
-from .cd_core import ConfidenceDistribution, analytic_cd, grid_cd, write_table
+from .cd_core import ConfidenceDistribution, analytic_cd, grid_cd, location_scale_cd, write_table
 from .errors import (
     OptimizationFailureError,
     ParameterDomainError,
@@ -159,31 +158,35 @@ def normalize_to_acd(curve: ProfileCurve) -> ConfidenceDistribution:
 
 
 def wald_acd(theta_hat: float, i_n: float, n: int, window=None) -> ConfidenceDistribution:
-    """Normal(theta_hat, i_n / n) restricted and renormalized to the window."""
+    """Normal(theta_hat, i_n / n): the location-scale family CD, or with a
+    window, that normal restricted and renormalized to the window."""
     if not (i_n > 0.0 and math.isfinite(i_n) and n >= 1):
         raise ParameterDomainError("need positive unit information and n >= 1")
-    lo, hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
+    sd = math.sqrt(i_n / n)
+    meta = {"theta_hat": theta_hat, "i_n": i_n, "n": n, "source": "wald"}
+    if window is None:
+        return location_scale_cd(pk.Normal(), theta_hat, sd, meta=meta)
+    lo, hi = float(window[0]), float(window[1])
     if not (lo < hi and lo <= theta_hat <= hi):
         raise ParameterDomainError("window must be nonempty and contain theta_hat")
-    sd = math.sqrt(i_n / n)
-    p_lo = float(ndtr((lo - theta_hat) / sd)) if math.isfinite(lo) else 0.0
-    p_hi = float(ndtr((hi - theta_hat) / sd)) if math.isfinite(hi) else 1.0
-    mass = p_hi - p_lo
+    std = pk.Normal()
+    to_std = lambda x: (np.asarray(x, float) - theta_hat) / sd
+    p_lo = pk.cdf(std, to_std(lo))
+    mass = pk.cdf(std, to_std(hi)) - p_lo
     if mass <= 0.0:
         raise ParameterDomainError("window carries no normal mass")
 
     def cdf(x):
-        z = (np.asarray(x, float) - theta_hat) / sd
-        return np.clip((ndtr(z) - p_lo) / mass, 0.0, 1.0)
+        return np.clip((pk.cdf(std, to_std(x)) - p_lo) / mass, 0.0, 1.0)
 
     def quantile(s):
-        return theta_hat + sd * ndtri(p_lo + np.asarray(s, float) * mass)
+        # cd_quantile refines this guess; a probability rounded onto 0 or 1 has none
+        p = np.clip(p_lo + np.asarray(s, float) * mass, 5e-324, 1.0 - 2.0 ** -53)
+        return theta_hat + sd * pk.quantile(std, p)
 
     def density(x):
-        z = (np.asarray(x, float) - theta_hat) / sd
-        return np.exp(-0.5 * z * z) / (sd * mass * math.sqrt(2.0 * math.pi))
+        return pk.density(std, to_std(x)) / (sd * mass)
 
-    meta = {"theta_hat": theta_hat, "i_n": i_n, "n": n, "source": "wald"}
     return analytic_cd(cdf, (lo, hi), quantile=quantile, density=density, meta=meta)
 
 

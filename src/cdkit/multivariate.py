@@ -166,13 +166,6 @@ def _direction_matrix(count: int) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _tukey_1d(sorted_vals: np.ndarray, x) -> np.ndarray:
-    m = sorted_vals.size
-    below = np.searchsorted(sorted_vals, x, side="right") / m
-    above = (m - np.searchsorted(sorted_vals, x, side="left")) / m
-    return np.minimum(below, above)
-
-
 def _depth_reader(spec: DepthSpec, arr: np.ndarray):
     """(depth_of, cloud_depths): a query point's depth, and a thunk for every
     cloud point's, both off the cloud parts computed once here."""
@@ -180,12 +173,10 @@ def _depth_reader(spec: DepthSpec, arr: np.ndarray):
         center, factor = _scatter_factor(arr)
         return (lambda pt: float(_mahalanobis_depth((pt - center)[None, :], factor)[0]),
                 lambda: _mahalanobis_depth(arr - center, factor))
-    if arr.shape[1] == 1:
-        srt = np.sort(arr[:, 0])
-        return lambda pt: float(_tukey_1d(srt, pt[0])), lambda: _tukey_1d(srt, arr[:, 0])
-    if arr.shape[1] != 2:
+    if arr.shape[1] > 2:
         raise ParameterDomainError("tukey depth is implemented for k <= 2 only")
-    u = _direction_matrix(spec.directions)
+    # the half-spaces' normals: +1 and -1 on a line, equally spaced angles in the plane
+    u = _direction_matrix(spec.directions) if arr.shape[1] == 2 else np.array([[1.0], [-1.0]])
     proj = np.ascontiguousarray((arr @ u.T).T)  # one contiguous row per direction
     m = arr.shape[0]
 
@@ -202,9 +193,9 @@ def depth(spec: DepthSpec, cloud, x) -> float:
     """Depth of one point relative to a cloud.
 
     Mahalanobis: 1 / (1 + squared scatter distance from the cloud center).
-    Tukey k=1: min of the two closed tail fractions at x.  Tukey k=2: the
-    smallest cloud fraction among the closed half-planes through x whose
-    normals run over `spec.directions` equally spaced angles.
+    Tukey: the smallest cloud fraction among the closed half-spaces through
+    x whose normals are +1 and -1 for k=1, and run over `spec.directions`
+    equally spaced angles for k=2.
     """
     arr = _as_cloud(cloud)
     pt = _as_point(x, arr.shape[1])

@@ -1,4 +1,4 @@
-"""Distribution primitives: CDFs, quantiles, log-space tails, seeded streams.
+"""Distribution primitives: densities, CDFs, quantiles, log-space tails, seeded streams.
 
 Everything downstream of this module treats probability evaluation as exact.
 The log-space tail routines are the only nontrivial numerics here: they must
@@ -17,7 +17,6 @@ from typing import Union
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import minimize_scalar as _minimize_scalar
 
 from .errors import OptimizationFailureError, ParameterDomainError
 
@@ -28,6 +27,7 @@ __all__ = [
     "ChiSquare",
     "Uniform01",
     "DistKind",
+    "density",
     "cdf",
     "quantile",
     "log_tail",
@@ -117,13 +117,39 @@ class Uniform01:
 DistKind = Union[Normal, StudentT, ChiSquare, Uniform01]
 
 
-def _as_float_array(x):
+def _shape_in(x):
     arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
+    return arr, arr.ndim == 0
+
+
+def _shape_out(arr, scalar):
+    arr = np.asarray(arr, dtype=float)
+    return float(arr) if scalar else arr
 
 
 # ---------------------------------------------------------------------------
-# cdf / quantile
+# density / cdf / quantile
+
+def density(d: DistKind, x) -> float | np.ndarray:
+    """The density of a Normal, StudentT or ChiSquare d at x (0 at and below 0
+    for ChiSquare).  Accepts scalars or arrays."""
+    arr, scalar = _shape_in(x)
+    if isinstance(d, Normal):
+        z = (arr - d.mean) / d.sd
+        out = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi) / d.sd
+    elif isinstance(d, StudentT):
+        df = d.df
+        c = _sp.gammaln((df + 1.0) / 2.0) - _sp.gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
+        out = np.exp(c - 0.5 * (df + 1.0) * np.log1p(arr * arr / df))
+    elif isinstance(d, ChiSquare):
+        a = d.df / 2.0
+        with np.errstate(all="ignore"):
+            out = np.exp((a - 1.0) * np.log(arr) - arr / 2.0 - a * math.log(2.0) - _sp.gammaln(a))
+        out = np.where(arr > 0.0, out, 0.0)
+    else:
+        raise ParameterDomainError(f"no density for the distribution kind {type(d).__name__}")
+    return _shape_out(out, scalar)
+
 
 def _check_side(side: str) -> None:
     if side not in ("lower", "upper"):
@@ -134,7 +160,7 @@ def cdf(d: DistKind, x, side: str = "lower") -> float | np.ndarray:
     """P(X <= x), or P(X > x) for side='upper'.  Accepts scalars or arrays;
     +-inf map to 1/0 (0/1 upper)."""
     _check_side(side)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _shape_in(x)
     lower = side == "lower"
     if isinstance(d, Normal):
         z = (arr - d.mean) / d.sd
@@ -149,8 +175,7 @@ def cdf(d: DistKind, x, side: str = "lower") -> float | np.ndarray:
         out = out if lower else 1.0 - out
     else:
         raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
-    out = np.asarray(out, dtype=float)
-    return float(out) if scalar else out
+    return _shape_out(out, scalar)
 
 
 def quantile(d: DistKind, p, side: str = "lower") -> float | np.ndarray:
@@ -158,7 +183,7 @@ def quantile(d: DistKind, p, side: str = "lower") -> float | np.ndarray:
     with P(X > x) = p for side='upper'.  Each side inverts its own tail, not
     1 - p, which rounds."""
     _check_side(side)
-    arr, scalar = _as_float_array(p)
+    arr, scalar = _shape_in(p)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterDomainError("quantile requires probabilities strictly in (0, 1)")
     lower = side == "lower"
@@ -172,8 +197,7 @@ def quantile(d: DistKind, p, side: str = "lower") -> float | np.ndarray:
         out = arr.copy() if lower else 1.0 - arr
     else:
         raise ParameterDomainError(f"unknown distribution kind {type(d).__name__}")
-    out = np.asarray(out, dtype=float)
-    return float(out) if scalar else out
+    return _shape_out(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +310,11 @@ def log_tail(d: DistKind, x: float, side: str) -> float:
 # bounded maximization
 
 def maximize(f, lo: float, hi: float) -> tuple[float, float]:
-    """(x, f(x)) at the maximum of f on [lo, hi], by a bounded search to 1e-8."""
-    res = _minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
-                           options={"xatol": 1e-8})
+    """(x, f(x)) at the maximum of f on [lo, hi], by a bounded search to 1e-8.
+    scipy.optimize loads on the first call: most commands never maximize."""
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-8})
     if not res.success:
         raise OptimizationFailureError("bounded maximization did not converge", theta=float(res.x))
     return float(res.x), -float(res.fun)

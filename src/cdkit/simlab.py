@@ -205,15 +205,16 @@ class CdGenerator:
         return (self.model, self.n, self.theta0, self.master_seed)
 
     def draw_data(self, index: int) -> np.ndarray:
+        family, n, theta0, _seed, *extra = self.draw_key
         rng = self.stream(index).child(0).generator()
-        if self.model == "normal-mean-known-sigma" or self.model == "normal-mean-unknown-sigma":
-            return rng.normal(self.theta0, self._param("sigma", 1.0), size=self.n)
-        if self.model == "normal-variance":
-            return rng.normal(self._param("mean", 0.0), math.sqrt(self.theta0), size=self.n)
-        if self.model == "exponential-rate":
-            return rng.exponential(1.0 / self.theta0, size=self.n)
-        rho = self.theta0
-        z = rng.normal(0.0, 1.0, size=(self.n, 2))
+        if family == "normal-mean":
+            return rng.normal(theta0, extra[0], size=n)
+        if family == "normal-variance":
+            return rng.normal(extra[0], math.sqrt(theta0), size=n)
+        if family == "exponential-rate":
+            return rng.exponential(1.0 / theta0, size=n)
+        rho = theta0
+        z = rng.normal(0.0, 1.0, size=(n, 2))
         return np.column_stack([z[:, 0], rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]])
 
     def build_cd(self, data: np.ndarray, index: int) -> ConfidenceDistribution:

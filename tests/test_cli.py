@@ -21,7 +21,14 @@ from cdkit.constructors import (
     normal_variance_cd,
 )
 from cdkit.inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
-from cdkit.multivariate import DepthSpec, MultiCD, depth, save_cloud_csv
+from cdkit.multivariate import (
+    DepthSpec,
+    MultiCD,
+    centrality,
+    centrality_fn,
+    depth,
+    save_cloud_csv,
+)
 from cdkit.simlab import CdGenerator
 
 
@@ -84,6 +91,25 @@ class TestConstruct:
             "--data", mean_one_csv, "--out", str(tmp_path / "cd.csv")])
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ["2", "known=0", "known=-1"])
+    def test_a_sigma_that_is_not_known_and_positive_exits_two(self, capsys, tmp_path,
+                                                              mean_one_csv, sigma):
+        code, _, err = _run(capsys, [
+            "construct", "--model", "normal-mean", "--sigma", sigma,
+            "--data", mean_one_csv, "--out", str(tmp_path / "cd.csv")])
+        assert code == 2
+        assert err.startswith("config error: --sigma") and err.count("\n") == 1
+
+    def test_two_columns_for_normal_mean_exits_two(self, capsys, tmp_path):
+        data = tmp_path / "xy.csv"
+        data.write_text("x,y\n0.1,0.3\n0.9,0.7\n-0.4,0.1\n1.2,1.5\n")
+        code, _, err = _run(capsys, [
+            "construct", "--model", "normal-mean", "--data", str(data),
+            "--out", str(tmp_path / "cd.csv")])
+        assert code == 2
+        assert err.startswith("config error:") and "one-column" in err and err.count("\n") == 1
+        assert not (tmp_path / "cd.csv").exists()
 
     def test_missing_data_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, [
@@ -524,6 +550,17 @@ class TestMv:
         want = depth(DepthSpec("tukey"), mcd.cloud, (0.1, -0.3))
         assert got == want
 
+    @pytest.mark.parametrize("kind", ["mahalanobis", "tukey"])
+    def test_centrality_matches_library(self, capsys, cloud_csv, kind):
+        path, mcd = cloud_csv
+        code, stdout, _ = _run(capsys, [
+            "mv", "centrality", "--cloud", path, "--kind", kind, "--point=0.4,-0.2"])
+        assert code == 0
+        body = json.loads(stdout)
+        assert body["action"] == "centrality" and body["config"]["point"] == [0.4, -0.2]
+        want = centrality(centrality_fn(DepthSpec(kind), mcd.cloud), (0.4, -0.2))
+        assert body["centrality"] == want and 0.0 < want < 1.0
+
     def test_coverage_membership(self, capsys, cloud_csv):
         path, mcd = cloud_csv
         center = ",".join(str(v) for v in mcd.cloud.mean(axis=0))
@@ -569,6 +606,18 @@ class TestEntryPoint:
                                "--config", str(path)], capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: theta0 must be finite")
+
+    def test_calibrate_never_loads_scipy_optimize(self, tmp_path):
+        # only a mode or a nuisance maximizer needs it, and this run reads neither
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"model": "normal-mean-known-sigma", "constructor": "pivot",
+                                    "n": 20, "theta0": 0.3, "seed": 1, "reps": 100}))
+        script = ("import sys; import cdkit.cli as cli; "
+                  f"code = cli.run(['calibrate', '--config', {str(path)!r}]); "
+                  "assert code == 0; assert 'scipy.optimize' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "calibrate"
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

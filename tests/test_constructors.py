@@ -25,7 +25,8 @@ from cdkit.errors import (
     MonotonicityError,
     ParameterDomainError,
 )
-from cdkit.probkernel import ChiSquare, Normal, Uniform01
+from cdkit.inference import cd_mode
+from cdkit.probkernel import ChiSquare, Normal, StudentT, Uniform01
 
 RNG = np.random.default_rng(314)
 SAMPLE = DataSample(RNG.normal(1.4, 2.0, size=24))
@@ -254,6 +255,24 @@ def test_a_pivot_that_fails_near_a_half_line_edge_still_inverts():
     assert np.all(cd_eval(cd, cd_quantile(cd, s)) >= s)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_pivot_without_a_density_reads_a_difference_quotient(seed):
+    # the t pivot by substitution has no density: cd_density differences H,
+    # and cd_mode maximizes that, so both match the t family CD's exact density
+    data = DataSample(np.random.default_rng(seed).normal(1.0, 2.0, size=15))
+    spec = PivotSpec(psi=lambda d, th: math.sqrt(d.n) * (d.mean - np.asarray(th, float)) / d.sd,
+                     law=StudentT(data.n - 1), direction="decreasing")
+    cd, exact = from_pivot(spec, data), normal_mean_cd(data)
+    assert cd.density_fn is None
+    xs = cd_quantile(exact, np.linspace(0.01, 0.99, 41))
+    want = cd_density(exact, xs)
+    assert np.all(np.abs(cd_density(cd, xs) - want) <= 1e-7 * want)
+    # the mode search on a difference quotient resolves about the square root
+    # of its noise: measured within 4.1e-6 standard errors
+    se = data.sd / math.sqrt(data.n)
+    assert abs(cd_mode(cd) - cd_mode(exact)) <= 1e-5 * se
+
+
 def test_pivot_log_tails_follow_law():
     spec = PivotSpec(psi=lambda d, th: (th - d.mean) / (2.0 / math.sqrt(d.n)),
                      law=Normal(), direction="increasing")
@@ -284,6 +303,18 @@ def test_hall_pivot_reduces_to_t_when_symmetric():
     assert d.skewness == 0.0
     t = math.sqrt(4) * (d.mean - 0.5) / d.sd
     assert abs(hall_pivot(d, 0.5) - t) < 1e-14
+
+
+def test_hall_pivot_inverse_at_zero_skewness_is_the_t_inverse():
+    # lam = 0 skips the cube root: the pivot is t and its inverse solves t exactly
+    d = DataSample([-1.0, 0.0, 1.0, 2.0, 3.0])
+    assert d.skewness == 0.0
+    mus = np.linspace(d.mean - 3.0, d.mean + 3.0, 41)
+    t = math.sqrt(d.n) * (d.mean - mus) / d.sd
+    assert np.array_equal(hall_pivot(d, mus), t)
+    assert np.array_equal(hall_pivot_inverse(d, t), d.mean - d.sd * t / math.sqrt(d.n))
+    assert np.max(np.abs(hall_pivot_inverse(d, t) - mus)) <= 4.0 * np.spacing(4.0)
+    assert hall_pivot_inverse(d, 0.0) == d.mean
 
 
 def test_hall_pivot_monotone_decreasing_in_mu():

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 import cdkit.simlab as simlab
-from cdkit.cd_core import cd_eval, cd_quantile
+from cdkit.cd_core import cd_density, cd_eval, cd_log_lower, cd_log_upper, cd_quantile
 from cdkit.errors import (
     OptimizationFailureError,
     ParameterDomainError,
@@ -187,11 +187,28 @@ class TestWaldAcd:
         assert cd_eval(cd, 2.0) == 0.0
         # all mass now sits above theta_hat
         assert cd_quantile(cd, 0.5) > 2.0
+        # 0.5 + s * 0.5 rounds to 1 here: the normal quantile has no guess to give
+        s = 1.0 - 2.0 ** -53
+        assert 2.0 < cd_quantile(cd, s) < math.inf and cd_eval(cd, cd_quantile(cd, s)) >= s
 
     def test_truncated_quantile_round_trip(self):
         cd = wald_acd(0.0, 1.0, 50, window=(-0.1, 0.4))
         for s in (0.1, 0.5, 0.9):
             assert cd_eval(cd, cd_quantile(cd, s)) == pytest.approx(s, abs=1e-12)
+
+    def test_untruncated_is_the_normal_family_cd(self):
+        # a family CD reads the normal's log tail: exact 40 sd out, where H underflows
+        cd = wald_acd(2.0, 4.0, 100)
+        assert cd.family is not None and cd.meta["source"] == "wald"
+        assert cd_log_lower(cd, 2.0 - 40.0 * 0.2) == pytest.approx(-804.6084420137538, rel=1e-12)
+        assert cd_log_upper(cd, 2.0 + 40.0 * 0.2) == cd_log_lower(cd, 2.0 - 40.0 * 0.2)
+
+    def test_truncated_density_is_the_slope_of_its_cdf(self):
+        cd = wald_acd(0.0, 1.0, 50, window=(-0.1, 0.4))
+        x, h = np.linspace(-0.09, 0.39, 25), 1e-6
+        slope = (cd_eval(cd, x + h) - cd_eval(cd, x - h)) / (2.0 * h)
+        assert np.all(np.abs(cd_density(cd, x) - slope) <= 1e-8 * slope)
+        assert cd_density(cd, 0.5) == 0.0
 
     def test_window_must_contain_estimate(self):
         with pytest.raises(ParameterDomainError):

@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from cdkit.errors import ParameterDomainError
 from cdkit.probkernel import (
@@ -20,6 +20,7 @@ from cdkit.probkernel import (
     StudentT,
     Uniform01,
     cdf,
+    density,
     log_tail,
     maximize,
     quantile,
@@ -186,6 +187,29 @@ def test_cdf_and_quantile_side_validation(read, d, side):
         assert quantile(d, 1e-18, "upper") == want[1]
 
 
+@pytest.mark.parametrize("d,ref", [
+    (Normal(), stats.norm()), (Normal(-1.5, 0.25), stats.norm(-1.5, 0.25)),
+    (Normal(3.0, 40.0), stats.norm(3.0, 40.0)), (StudentT(0.7), stats.t(0.7)),
+    (StudentT(4.0), stats.t(4.0)), (StudentT(60.0), stats.t(60.0)),
+    (ChiSquare(1.0), stats.chi2(1.0)), (ChiSquare(2.0), stats.chi2(2.0)),
+    (ChiSquare(9.5), stats.chi2(9.5)),
+])
+def test_density_is_scipy_stats_pdf(d, ref):
+    # no point at 0, where a chi-square density's limit from above may be inf
+    x = np.concatenate([np.linspace(-30.0, 30.0, 240), [1e-6, 0.5, 77.0]])
+    got = density(d, x)
+    want = ref.pdf(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * want + 1e-300)
+    assert density(d, 0.5) == got[-2] and isinstance(density(d, 0.5), float)
+
+
+@pytest.mark.parametrize("d", [Uniform01(), "normal"])
+def test_density_of_another_kind_raises(d):
+    with pytest.raises(ParameterDomainError):
+        density(d, 0.5)
+
+
 def test_quantile_domain():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ParameterDomainError):
@@ -247,6 +271,19 @@ def test_chi2_log_tail_deep(df, x, want_lower, want_upper):
     if want_upper != 0.0:
         got = log_tail(ChiSquare(df), x, "upper")
         assert abs(got - want_upper) < 1e-6 * abs(want_upper)
+
+
+@pytest.mark.parametrize("df", [3.0, 4.5, 10.0, 33.0, 75.0, 200.0])
+def test_chi2_log_lower_tail_below_the_direct_floor_is_mpmaths(df):
+    # below a mass of 1e-280 the lower tail is the incomplete gamma's series;
+    # oracle: log of mpmath's regularized lower incomplete gamma (dps=50)
+    mp.mp.dps = 50
+    xs = [x for x in (1e-300, 1e-200, 1e-120, 1e-60, 1e-20, 1e-8, 1e-3, 0.05)
+          if cdf(ChiSquare(df), x) < 1e-280]
+    assert len(xs) >= 2
+    for x in xs:
+        want = float(mp.log(mp.gammainc(mp.mpf(df) / 2, 0, mp.mpf(x) / 2, regularized=True)))
+        assert abs(log_tail(ChiSquare(df), x, "lower") - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("d", [Normal(), StudentT(6.0), ChiSquare(5.0), Uniform01()])
