@@ -7,6 +7,7 @@ are parsed; a numeric failure exits 1 with one line naming the error's class.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +33,7 @@ from .errors import (
 from .inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from .multivariate import (
     DepthSpec,
+    _check_level,
     central_region_test,
     centrality,
     centrality_fn,
@@ -200,9 +202,16 @@ def _cmd_mv(args) -> dict:
     flag = "axis" if args.action == "project" else "point"
     if getattr(args, flag) is None:
         raise ConfigError(f"mv {args.action} needs --{flag}")
-    mcd = load_cloud_csv(args.cloud)
+    # every option is checked before the cloud is read
     if args.action == "project":
         axis = _parse_vector(args.axis)
+    else:
+        point = _parse_vector(args.point)
+        spec = DepthSpec(args.kind, directions=args.directions)
+    if args.action == "coverage":
+        _check_level(args.level)
+    mcd = load_cloud_csv(args.cloud)
+    if args.action == "project":
         cd = project(mcd, axis)
         if args.out:
             save_cd_csv(cd, args.out)
@@ -213,8 +222,6 @@ def _cmd_mv(args) -> dict:
             "intervals": {f"{lv:.2f}": list(central_interval(cd, lv))
                           for lv in _LEVELS},
         }
-    point = _parse_vector(args.point)
-    spec = DepthSpec(args.kind, directions=args.directions)
     if args.action == "depth":
         value = depth(spec, mcd.cloud, point)
         return {"command": "mv", "action": "depth",
@@ -233,7 +240,9 @@ def _cmd_mv(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cdkit", description="Confidence distribution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

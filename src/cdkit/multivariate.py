@@ -23,6 +23,7 @@ from .errors import (
 
 _MIN_CLOUD = 1000
 _MIN_DIRECTIONS = 180
+_DIRECTION_BLOCK = 16  # directions ranked at once by a Tukey depth table
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,8 @@ def _as_cloud(cloud) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ParameterDomainError("depth needs an (m, k) cloud with m >= 2")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterDomainError("cloud values must be finite")
     return arr
 
 
@@ -168,7 +171,18 @@ def _direction_matrix(count: int) -> np.ndarray:
 
 def _depth_reader(spec: DepthSpec, arr: np.ndarray):
     """(depth_of, cloud_depths): a query point's depth, and a thunk for every
-    cloud point's, both off the cloud parts computed once here."""
+    cloud point's, both off the cloud parts computed once here.
+
+    A Tukey depth counts, in each direction, the points that project at or
+    past a point's own projection.  `cloud_depths` reads those counts off
+    ranks, `_DIRECTION_BLOCK` directions at a time: copy the block's
+    projections to one row per direction, argsort each row, find each sorted
+    value's first equal position (the running maximum of the positions where
+    the sorted value changes), scatter `m - first` back to the points, and
+    fold the block's per-point minimum into one length-m array.  Tied points
+    share their first position, so each counts the others, as the >= in
+    `depth_of` does.
+    """
     if spec.kind == "mahalanobis":
         center, factor = _scatter_factor(arr)
         return (lambda pt: float(_mahalanobis_depth((pt - center)[None, :], factor)[0]),
@@ -177,16 +191,25 @@ def _depth_reader(spec: DepthSpec, arr: np.ndarray):
         raise ParameterDomainError("tukey depth is implemented for k <= 2 only")
     # the half-spaces' normals: +1 and -1 on a line, equally spaced angles in the plane
     u = _direction_matrix(spec.directions) if arr.shape[1] == 2 else np.array([[1.0], [-1.0]])
-    proj = np.ascontiguousarray((arr @ u.T).T)  # one contiguous row per direction
+    proj = arr @ u.T  # one column per direction
     m = arr.shape[0]
 
     def cloud_depths():
-        counts = np.empty(proj.shape, dtype=np.intp)
-        for j, row_sorted in enumerate(np.sort(proj, axis=1)):
-            # how many points project >= each point
-            counts[j] = m - np.searchsorted(row_sorted, proj[j], side="left")
-        return np.min(counts, axis=0) / m
-    return lambda pt: int(np.sum(proj >= (u @ pt)[:, None], axis=1).min()) / m, cloud_depths
+        least = np.full(m, m, dtype=np.intp)
+        later = np.arange(1, m)  # every position but the first
+        for start in range(0, proj.shape[1], _DIRECTION_BLOCK):
+            block = np.ascontiguousarray(proj[:, start:start + _DIRECTION_BLOCK].T)
+            order = np.argsort(block, axis=1)
+            order += m * np.arange(len(block))[:, None]  # flat indices into the block
+            ranked = np.take(block, order)
+            first = np.zeros(block.shape, dtype=np.intp)
+            np.multiply(ranked[:, 1:] != ranked[:, :-1], later, out=first[:, 1:])
+            np.maximum.accumulate(first, axis=1, out=first)
+            counts = np.empty(block.shape, dtype=np.intp)
+            counts.ravel()[order.ravel()] = (m - first).ravel()  # points projecting >= each
+            np.minimum(least, counts.min(axis=0), out=least)
+        return least / m
+    return lambda pt: int(np.sum(proj >= u @ pt, axis=0).min()) / m, cloud_depths
 
 
 def depth(spec: DepthSpec, cloud, x) -> float:
@@ -211,7 +234,9 @@ class CentralityFn:
 
     `depth_table` holds the sorted depths of every cloud point, so each query
     costs one depth evaluation plus one binary search.  Ties count as less
-    central (the <= convention).
+    central (the <= convention).  A Tukey table is built from ranks, a block
+    of directions at a time (see `_depth_reader`), so besides the projections
+    it holds only one block's arrays at once.
     """
 
     spec: DepthSpec
@@ -235,10 +260,14 @@ def centrality(cf: CentralityFn, x) -> float:
                  / cf.depth_table.size)
 
 
-def central_region_test(cf: CentralityFn, level: float, x) -> bool:
-    """Whether x belongs to the 100*level percent central confidence region."""
+def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ParameterDomainError("level must lie strictly between 0 and 1")
+
+
+def central_region_test(cf: CentralityFn, level: float, x) -> bool:
+    """Whether x belongs to the 100*level percent central confidence region."""
+    _check_level(level)
     return centrality(cf, x) >= 1.0 - level
 
 

@@ -588,6 +588,75 @@ class TestMv:
         assert code == 2
         assert "config error:" in err
 
+    @pytest.mark.parametrize("action, options, message", [
+        ("coverage", ["--level", "1.5"], "level must lie strictly between 0 and 1"),
+        ("coverage", ["--level", "nan"], "level must lie strictly between 0 and 1"),
+        ("centrality", ["--directions", "90"], "tukey depth needs at least 180 directions"),
+        ("depth", ["--directions", "179"], "tukey depth needs at least 180 directions"),
+        ("coverage", ["--point", "0,x"], "expected comma-separated numbers"),
+    ], ids=["level-1.5", "level-nan", "directions-90", "directions-179", "point-text"])
+    def test_bad_options_fail_before_the_cloud_is_read(self, capsys, monkeypatch, cloud_csv,
+                                                       action, options, message):
+        path, _ = cloud_csv
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(cli, "load_cloud_csv", spy("load", cli.load_cloud_csv))
+        monkeypatch.setattr(cli, "centrality_fn", spy("table", cli.centrality_fn))
+        code, _, err = _run(capsys, ["mv", action, "--cloud", path, "--kind", "tukey",
+                                     "--point", "0,0", *options])
+        assert code == 2
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert calls == []
+
+
+class TestOneParser:
+    def test_every_run_shares_one_build(self, capsys, tmp_path, mean_one_csv):
+        cli._build_parser.cache_clear()
+        out, _ = _construct(capsys, tmp_path, mean_one_csv)
+        assert _run(capsys, ["estimate", "--cd", out])[0] == 0
+        assert _run(capsys, ["frobnicate"])[0] == 2
+        assert _run(capsys, ["test", "--cd", out, "--region", '{"points": [1.0]}'])[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_a_usage_error_leaves_the_parser_working(self, capsys, tmp_path, mean_one_csv):
+        code, _, err = _run(capsys, ["construct", "--model", "normal-mean"])
+        assert code == 2 and "--data" in err
+        out, body = _construct(capsys, tmp_path, mean_one_csv)
+        assert body["config"]["out"] == out
+
+    def test_defaults_do_not_leak_between_runs(self, capsys, tmp_path, monkeypatch,
+                                               mean_one_csv):
+        monkeypatch.chdir(tmp_path)
+        argv = ["construct", "--model", "normal-mean", "--data", mean_one_csv]
+        code, stdout, _ = _run(capsys, [*argv, "--sigma", "known=2", "--out", "a.csv"])
+        assert code == 0 and json.loads(stdout)["config"]["out"] == "a.csv"
+        code, stdout, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(stdout)["config"] == {"model": "normal-mean", "sigma": "unknown",
+                                                "data": mean_one_csv, "out": "cd.csv"}
+        assert (tmp_path / "cd.csv").is_file()
+
+    def test_in_process_runs_print_what_a_fresh_process_prints(self, capsys, tmp_path,
+                                                              mean_one_csv, cloud_csv):
+        cd = str(tmp_path / "cd.csv")
+        cloud, _ = cloud_csv
+        for argv in (
+                ["construct", "--model", "normal-mean", "--data", mean_one_csv, "--out", cd],
+                ["estimate", "--cd", cd],
+                ["test", "--cd", cd, "--region", '{"intervals": [[null, 0.8], [1.25, null]]}'],
+                ["mv", "coverage", "--cloud", cloud, "--kind", "tukey", "--point=0.1,-0.2"]):
+            fresh = subprocess.run([sys.executable, "-m", "cdkit.cli", *argv],
+                                   capture_output=True, text=True)
+            assert fresh.returncode == 0, fresh.stderr
+            for _ in range(2):
+                assert _run(capsys, argv) == (0, fresh.stdout, "")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, mean_one_csv, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestDepth:
         assert abs(depth(spec, cloud, cloud.mean(axis=0)) - 0.5) < 0.05
         assert depth(spec, cloud, (50.0, 50.0)) == 0.0
 
+    @pytest.mark.parametrize("kind", ["mahalanobis", "tukey"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cloud_is_rejected(self, kind, bad):
+        cloud = np.random.default_rng(3).normal(size=(1000, 2))
+        cloud[7, 0] = bad
+        with pytest.raises(ParameterDomainError, match="finite"):
+            depth(DepthSpec(kind), cloud, (0.0, 0.0))
+        with pytest.raises(ParameterDomainError, match="finite"):
+            centrality_fn(DepthSpec(kind), cloud)
+
     def test_tukey_beyond_two_dims_unsupported(self):
         with pytest.raises(ParameterDomainError):
             depth(DepthSpec("tukey"), np.zeros((100, 3)) + np.arange(3), (0.0,) * 3)
@@ -242,6 +253,11 @@ class TestDepth:
             t_x = t_mat @ x + shift
             assert abs(depth(spec_m, cloud, x) - depth(spec_m, t_cloud, t_x)) <= bound_m
             assert abs(depth(spec_t, cloud, x) - depth(spec_t, t_cloud, t_x)) <= bound_t
+
+
+# a half-unit lattice with 400 points doubled: ties in every direction (1001 points)
+_HALF = np.round(np.random.default_rng(5).normal(size=(600, 2)) * 2.0) / 2.0
+_LATTICE = np.concatenate([_HALF, _HALF[:400], _HALF[:1]])
 
 
 @pytest.fixture(scope="module")
@@ -296,25 +312,45 @@ class TestCentrality:
                     assert depth(DepthSpec(kind), cloud, pt) == cf.depth_of(pt)
 
     def test_tukey_table_equals_per_direction_search(self):
-        # a half-unit lattice with 400 points doubled: ties in every direction
-        half = np.round(np.random.default_rng(5).normal(size=(600, 2)) * 2.0) / 2.0
-        cloud = np.concatenate([half, half[:400]])
-        cf = centrality_fn(DepthSpec("tukey", directions=360), cloud)
+        clouds = [*(_LATTICE[:m] for m in (2, 3, 1000, 1001)),
+                  *(_LATTICE[:m, :1] for m in (2, 3, 1000, 1001)),  # normals +1 and -1
+                  np.full((1000, 2), 0.5), np.full((1000, 1), -2.0)]  # one point repeated
+        for cloud in clouds:
+            for directions in (180, 181, 360, 997):  # not all a multiple of the block
+                self._check_tukey_table(cloud, directions)
+
+    @staticmethod
+    def _check_tukey_table(cloud, directions):
+        cf = centrality_fn(DepthSpec("tukey", directions=directions), cloud)
         # the reference: one searchsorted per direction on that column of the sorted table
-        u = _direction_matrix(360)
+        m, k = cloud.shape
+        u = _direction_matrix(directions) if k == 2 else np.array([[1.0], [-1.0]])
         proj = cloud @ u.T
         cols = np.sort(proj, axis=0)
-        m = cloud.shape[0]
 
         def count_at_least(j, values):
             return m - np.searchsorted(cols[:, j], values, side="left")
 
-        table = np.column_stack([count_at_least(j, proj[:, j]) for j in range(360)])
+        table = np.column_stack([count_at_least(j, proj[:, j]) for j in range(len(u))])
         assert np.array_equal(cf.depth_table, np.sort(np.min(table, axis=1) / m))
-        for pt in [*cloud[:50], (0.25, -0.25), (0.0, 0.0), (3.0, 1.5), (-9.0, 9.0)]:
-            pt = np.asarray(pt, dtype=float)
+        probes = [*cloud[:50], *np.array([(0.25, -0.25), (0.0, 0.0), (3.0, 1.5), (-9.0, 9.0),
+                                           (0.5, 0.5), (-2.0, -2.0)])[:, :k]]
+        for pt in probes:
             px = u @ pt
-            assert cf.depth_of(pt) == min(count_at_least(j, px[j]) for j in range(360)) / m
+            assert cf.depth_of(pt) == min(count_at_least(j, px[j]) for j in range(len(u))) / m
+
+    def test_tukey_table_holds_one_block_besides_the_projections(self):
+        cloud = np.random.default_rng(6).normal(size=(1000, 2))
+        spec = DepthSpec("tukey", directions=360)
+        proj_bytes = 360 * 1000 * 8
+        centrality_fn(spec, cloud)  # first calls allocate once-per-process caches
+        tracemalloc.start()
+        try:
+            centrality_fn(spec, cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * proj_bytes
 
     def test_region_level_validation(self, gauss_cf):
         with pytest.raises(ParameterDomainError):
