@@ -28,8 +28,11 @@ row of one table (location-scale over Normal or Student-t, inverse
 chi-square scale, Fisher z, chi-square rate) and holds its parameters.  A
 row is a pivot with a density; ``family_cd`` binds it to the spec and keeps
 the spec as ``cd.family``.  A family CD's file is its spec line alone, so it
-reloads as the same CD.  A monotone transform of a CD composes its pivot's
-maps with g, so its tails stay as exact as the CD's.
+reloads as the same CD.  The lab reads its replicates a block at a time,
+where a row's parameters are arrays over family CDs of one row and base law
+and its ``math`` calls stay per spec (numpy's round differently).  A
+monotone transform of a CD composes its pivot's maps with g, so its tails
+stay as exact as the CD's.
 
 Every other CSV file the toolkit writes or reads goes through ``write_table``
 and ``read_table``: an optional header row over ``%.17g`` cells.
@@ -104,7 +107,7 @@ class ConfidenceDistribution:
     atoms: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-    # the family spec, set only by family_cd; copies drop it
+    # the family spec, set only by family_cd (a block's is its tuple of specs); copies drop it
     family: Optional[FamilySpec] = field(default=None, init=False)
 
     def __repr__(self):  # the payload arrays and callables are noise in a log line
@@ -171,12 +174,6 @@ def _positive(x):
     return np.maximum(np.asarray(x, float), 1e-300)
 
 
-def _fisher_pivot(x, r, n):
-    """sqrt(n - 3) (atanh x - atanh r): standard normal at x = theta."""
-    return math.sqrt(n - 3.0) * (np.arctanh(np.clip(np.asarray(x, float), -1.0, 1.0))
-                                 - math.atanh(r))
-
-
 class _Row(NamedTuple):
     """A family as a pivot with its density; each callable takes x or q, if
     any, then the parameters.  ``density`` takes the base law's density at
@@ -213,9 +210,11 @@ _FAMILIES = {
         "|r| < 1 and n > 3",
         lambda r, n: abs(r) < 1.0 and n > 3.0, (-1.0, 1.0),
         base=lambda r, n: pk.Normal(),
-        to_base=_fisher_pivot,
-        from_base=lambda q, r, n: np.tanh(math.atanh(r) + q / math.sqrt(n - 3.0)),
-        density=lambda f, x, r, n: f * math.sqrt(n - 3.0)
+        # sqrt(n - 3) (atanh x - atanh r): standard normal at x = theta
+        to_base=lambda x, r, n: np.sqrt(n - 3.0) * (
+            np.arctanh(np.clip(np.asarray(x, float), -1.0, 1.0)) - _each(math.atanh, r)),
+        from_base=lambda q, r, n: np.tanh(_each(math.atanh, r) + q / np.sqrt(n - 3.0)),
+        density=lambda f, x, r, n: f * np.sqrt(n - 3.0)
         / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300)),
     "chi2-rate": _Row(
         "n > 0 and total > 0",
@@ -237,6 +236,18 @@ def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
                    density_fn=lambda x: row.density(pk.density(base, to_base(x)), x, **p),
                    meta=meta)
     object.__setattr__(cd, "family", spec)
+    return cd
+
+
+def _family_block(cds) -> ConfidenceDistribution:
+    """CDs of one family row and base law as one CD, the row's parameters arrays over
+    them; cd_eval at [x] and cd_quantile at a column give each CD's bytes, a column each."""
+    specs = tuple(cd.family for cd in cds)
+    row = _FAMILIES[specs[0].name]
+    p = {key: np.array([s.params[key] for s in specs], dtype=float) for key in specs[0].params}
+    cd = _pivot_cd(cds[0].base, row.side, partial(row.to_base, **p), partial(row.from_base, **p),
+                   row.support)
+    object.__setattr__(cd, "family", specs)
     return cd
 
 
@@ -525,6 +536,11 @@ def _try_eval(f, x):
         return f(x)
     except (ArithmeticError, ValueError):
         return math.nan
+
+
+def _each(f, x):
+    """f on x, or on each element of the 1-D array x: math's f rounds unlike numpy's."""
+    return f(x) if np.ndim(x) == 0 else np.array([f(v) for v in x.tolist()])
 
 
 def _elementwise(f, x):

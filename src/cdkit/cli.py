@@ -34,7 +34,6 @@ from .inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from .multivariate import (
     DepthSpec,
     _check_level,
-    central_region_test,
     centrality,
     centrality_fn,
     depth,
@@ -231,10 +230,10 @@ def _cmd_mv(args) -> dict:
         return {"command": "mv", "action": "centrality",
                 "config": _mv_config(args, point=point),
                 "centrality": centrality(cf, point)}
-    inside = central_region_test(cf, args.level, point)
+    value = centrality(cf, point)
     return {"command": "mv", "action": "coverage",
             "config": _mv_config(args, point=point, level=args.level),
-            "centrality": centrality(cf, point), "inside": inside}
+            "centrality": value, "inside": value >= 1.0 - args.level}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ normal, truncated to a window when one is given.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +76,13 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
     """Profile loglik(theta, eta) over eta on a theta grid.
 
     The evaluator is called as loglik(theta, eta_hat(theta)), with eta_hat
-    found by the supplied bounded maximizer (eta is None without one); on
-    the grid, theta is a Python float.  The peak must be interior to the
-    window; it is refined by a quadratic fit through the best three grid
-    points and the curvature comes from a central second difference with the
-    grid spacing as step.
+    found by the supplied bounded maximizer, on Python floats.  With none, eta
+    is None and theta is the whole grid, then the stencil, as one ndarray, or
+    each Python float where that raises a TypeError, ValueError or (with a
+    numpy warning) ArithmeticError, or gives another shape.  The peak must be
+    interior to the window; it is refined by a quadratic fit through the best
+    three grid points and the curvature comes from a central second
+    difference with the grid spacing as step.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -89,20 +92,27 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
     if n < 1:
         raise ParameterDomainError("n must be a positive sample size")
 
-    def profiled(theta):
+    def one(theta):
         try:
-            if nuisance_optimizer is None:
-                return float(loglik(theta, None))
-            eta = nuisance_optimizer(lambda e: float(loglik(theta, e)))
+            eta = (None if nuisance_optimizer is None
+                   else nuisance_optimizer(lambda e: float(loglik(theta, e))))
             return float(loglik(theta, eta))
         except OptimizationFailureError as exc:
             raise OptimizationFailureError(str(exc), theta=theta) from exc
         except (ValueError, ArithmeticError) as exc:
             raise OptimizationFailureError(f"log-likelihood failed: {exc}", theta=theta) from exc
 
+    def profiled(thetas):
+        if nuisance_optimizer is None:
+            with suppress(TypeError, ValueError, ArithmeticError), \
+                    np.errstate(all="raise", under="ignore"):
+                ell = np.asarray(loglik(thetas, None), dtype=float)
+                if ell.shape == thetas.shape:
+                    return ell
+        return np.array([one(th) for th in thetas.tolist()])
+
     grid = np.linspace(lo, hi, grid_size)
-    # Python floats, not numpy scalars: the same doubles, cheaper arithmetic
-    ell = np.array([profiled(th) for th in grid.tolist()])
+    ell = profiled(grid)
     if not np.all(np.isfinite(ell)):
         bad = float(grid[int(np.argmax(~np.isfinite(ell)))])
         raise ParameterDomainError(f"log-likelihood is not finite at theta = {bad}")
@@ -118,13 +128,14 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
     ell_hat = float(ell[k])
     if denom < 0.0:
         refined = float(grid[k] + 0.5 * h * (ell[k - 1] - ell[k + 1]) / denom)
-        value = profiled(refined)
+        value = one(refined)
         if value >= ell_hat:
             theta_hat, ell_hat = refined, value
 
     # curvature stencil clamped inside the window
     center = min(max(theta_hat, lo + h), hi - h)
-    d2 = (profiled(center - h) - 2.0 * profiled(center) + profiled(center + h)) / (h * h)
+    stencil = profiled(np.array([center - h, center, center + h]))
+    d2 = (stencil[0] - 2.0 * stencil[1] + stencil[2]) / (h * h)
     if not (d2 < 0.0 and math.isfinite(d2)):
         raise OptimizationFailureError(
             f"profile curvature at the peak is not negative ({d2})", theta=theta_hat)

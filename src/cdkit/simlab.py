@@ -32,8 +32,10 @@ from .bootstrap import (
 )
 from .cd_core import (
     ConfidenceDistribution,
-    cd_eval,
+    _each,
+    _family_block,
     _interval_probs,
+    cd_eval,
     cd_quantile,
     location_scale_cd,
     sample_cd,
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 _DEFAULT_LEVELS = (0.5, 0.9, 0.95, 0.99)
+_REPLICATE_BLOCK = 256  # calibrate builds, then reads, this many CDs at a time
 
 # which construction recipes make sense for which data model
 _SUPPORTED = {
@@ -249,13 +252,14 @@ class CdGenerator:
         if self.model == "exponential-rate":
             total = float(np.sum(data))
             est = n / total
-            loglik = lambda theta, _eta: n * math.log(theta) - theta * total
+            loglik = lambda theta, _eta: n * _each(math.log, theta) - theta * total
             half = 14.0 / math.sqrt(n)
             window = (max(est * (1.0 - half), est * 0.01), est * (1.0 + half))
             return likelihood_acd(loglik, window, grid_size, n=n, support=(1e-300, math.inf))
         xbar = float(np.mean(data))
         sigma = self._param("sigma", 1.0)
-        loglik = lambda theta, _eta: -n * (theta - xbar) ** 2 / (2.0 * sigma ** 2)
+        # Python's d ** 2 is libm's pow, which rounds differently from numpy's d * d
+        loglik = lambda t, _eta: -n * _each(lambda d: d ** 2, t - xbar) / (2.0 * sigma ** 2)
         half = 14.0 * sigma / math.sqrt(n)
         return likelihood_acd(loglik, (xbar - half, xbar + half), grid_size, n=n)
 
@@ -299,42 +303,52 @@ class CalibrationReport:
 
 
 def _replicate_summary(gen: CdGenerator, index: int, levels):
+    """Replicate index's CD, or None if its build raises (perfbench traces this signature)."""
     try:
-        cd = gen.replicate(index)
-        u = float(cd_eval(cd, gen.theta0))
-        # one quantile read: every interval's lower ends, then upper ends, then 0.5
-        probs = [_interval_probs(lv) for lv in levels]
-        q = cd_quantile(cd, np.array([p[0] for p in probs] + [p[1] for p in probs] + [0.5]))
-        k = len(levels)
-        hits = tuple(bool(q[j] <= gen.theta0 <= q[k + j]) for j in range(k))
-        below = bool(q[-1] <= gen.theta0)
-        return u, hits, below
+        return gen.replicate(index)
     except CdkitError:
         return None
 
 
+def _read_block(built, theta0, levels):
+    """(u-values, (k, B) interval hits, medians at or below theta0) of built's CDs."""
+    cds = [cd for cd in built if cd is not None]
+    groups = {}  # a row and base law's family CDs are read together, any other CD alone
+    for j, cd in enumerate(cds):
+        groups.setdefault(j if cd.family is None else (cd.family.name, cd.base), []).append(j)
+    k = len(levels)  # read at the k lower interval ends, the k upper ends, then 0.5
+    probs = np.array([_interval_probs(lv)[i] for i in (0, 1) for lv in levels] + [0.5])
+    u, q = np.empty(len(cds)), np.empty((2 * k + 1, len(cds)))
+    for key, idx in groups.items():
+        cd = cds[key] if isinstance(key, int) else _family_block([cds[j] for j in idx])
+        u[idx], q[:, idx] = cd_eval(cd, np.array([theta0])), cd_quantile(cd, probs[:, None])
+    return u, (q[:k] <= theta0) & (theta0 <= q[k:2 * k]), q[-1] <= theta0
+
+
 def calibrate(gen: CdGenerator, reps: int, levels=_DEFAULT_LEVELS) -> CalibrationReport:
-    """reps seeded (data, CD) draws, u-values, KS, coverage, median check."""
+    """reps seeded (data, CD) draws, u-values, KS, coverage, median check.
+
+    Each CD is built alone by ``map_indexed``, a pure function of its index.
+    CDs are read ``_REPLICATE_BLOCK`` at a time, a family row's by one cd_eval
+    and one cd_quantile on arrays of its parameters; its math.* stays per spec."""
     if reps < 100:
         raise ConfigError("calibration needs reps >= 100")
     if not all(0.0 < lv < 1.0 for lv in levels):
         raise ConfigError(f"levels must lie in (0, 1), got {list(levels)}")
-    rows = map_indexed(lambda i: _replicate_summary(gen, i, levels), reps)
-    kept = [row for row in rows if row is not None]
-    failures = reps - len(kept)
-    if len(kept) < 10:
-        raise InsufficientDataError(f"only {len(kept)} usable replicates of {reps}")
-    u_arr = np.array([row[0] for row in kept])
+    reads = [_read_block(map_indexed(lambda i: _replicate_summary(gen, start + i, levels),
+                                     min(_REPLICATE_BLOCK, reps - start)), gen.theta0, levels)
+             for start in range(0, reps, _REPLICATE_BLOCK)]
+    u_arr, hits, below = (np.concatenate(parts, axis=-1) for parts in zip(*reads))
+    m = u_arr.size
+    if m < 10:
+        raise InsufficientDataError(f"only {m} usable replicates of {reps}")
     stat, p = ks_uniform(np.clip(u_arr, 0.0, 1.0))
-    m = len(kept)
-    cov = []
-    for j, level in enumerate(levels):
-        freq = sum(row[1][j] for row in kept) / m
-        cov.append((float(level), freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / m)))
-    med = sum(row[2] for row in kept) / m
+    cov = tuple((float(level), freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / m))
+                for level, freq in zip(levels, (hits.sum(axis=1) / m).tolist()))
+    med = int(np.sum(below)) / m
     return CalibrationReport(
-        u_values=u_arr, ks_statistic=stat, ks_p_value=p, coverage=tuple(cov),
-        median_unbiased_fraction=med, failures=failures, reps=reps,
+        u_values=u_arr, ks_statistic=stat, ks_p_value=p, coverage=cov,
+        median_unbiased_fraction=med, failures=reps - m, reps=reps,
         config=generator_to_config(gen),
     )
 

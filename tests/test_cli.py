@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from cdkit import cli
+from cdkit import cli, multivariate
 from cdkit.cd_core import cd_quantile, load_cd_csv, save_cd_csv
 from cdkit.cli import run
 from cdkit.constructors import (
@@ -24,6 +24,7 @@ from cdkit.inference import NullRegion, cd_mean, cd_median, cd_mode, support_rep
 from cdkit.multivariate import (
     DepthSpec,
     MultiCD,
+    central_region_test,
     centrality,
     centrality_fn,
     depth,
@@ -572,6 +573,22 @@ class TestMv:
         body = json.loads(stdout)
         assert body["inside"] is True
         assert body["centrality"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
+    def test_coverage_reads_the_query_once(self, capsys, monkeypatch, cloud_csv, level):
+        path, mcd = cloud_csv
+        queries = []
+        spy = lambda cf, x: queries.append(x) or centrality(cf, x)  # noqa: E731
+        # under both names: central_region_test looks it up in multivariate
+        monkeypatch.setattr(cli, "centrality", spy)
+        monkeypatch.setattr(multivariate, "centrality", spy)
+        code, stdout, _ = _run(capsys, ["mv", "coverage", "--cloud", path, "--kind", "tukey",
+                                        "--point", "0.4,0.1", "--level", str(level)])
+        assert code == 0 and len(queries) == 1
+        body = json.loads(stdout)
+        cf = centrality_fn(DepthSpec("tukey"), mcd.cloud)
+        assert body["centrality"] == centrality(cf, (0.4, 0.1))
+        assert body["inside"] is central_region_test(cf, level, (0.4, 0.1))
 
     def test_missing_flags(self, capsys, cloud_csv):
         path, _ = cloud_csv

@@ -72,8 +72,9 @@ class TestProfileCurve:
     @pytest.mark.parametrize("model", ["normal-mean-known-sigma", "exponential-rate"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_python_float_grid_equals_numpy_scalar_grid(self, monkeypatch, model, seed):
-        # the grid is profiled on Python floats: the built-in logliks must give
-        # the bytes they give on the ndarray's own elements
+        # the grid is profiled in one call on the ndarray: the built-in logliks
+        # must give the bytes they give on each Python float and on each numpy
+        # scalar, and so must the curve
         captured = []
 
         def capture(loglik, window, grid_size, **kwargs):
@@ -86,19 +87,39 @@ class TestProfileCurve:
         seen = []
 
         def recording(theta, eta):
-            seen.append(loglik(theta, eta))
-            return seen[-1]
+            seen.append(theta)
+            return loglik(theta, eta)
 
         curve = profile_curve(recording, window, grid_size, n=n)
         grid = np.linspace(window[0], window[1], grid_size)
-        ref = np.array([float(loglik(th, None)) for th in grid])
-        assert np.array(seen[:grid_size], dtype=float).tobytes() == ref.tobytes()
-        on_scalars = profile_curve(lambda th, eta: loglik(np.float64(th), eta), window,
-                                   grid_size, n=n)
-        assert curve.grid.tobytes() == on_scalars.grid.tobytes()
-        assert curve.ell_star.tobytes() == on_scalars.ell_star.tobytes()
-        assert (curve.theta_hat, curve.i_n, curve.c_n) == (
-            on_scalars.theta_hat, on_scalars.i_n, on_scalars.c_n)
+        assert isinstance(seen[0], np.ndarray) and seen[0].tobytes() == grid.tobytes()
+        assert [np.shape(th) for th in seen[1:]] in ([(3,)], [(), (3,)])
+        on_array = np.asarray(loglik(grid, None)).tobytes()
+        assert on_array == np.array([float(loglik(th, None)) for th in grid.tolist()]).tobytes()
+        assert on_array == np.array([float(loglik(th, None)) for th in grid]).tobytes()
+        # on a dense array, where numpy's log and square would round unlike
+        # math.log and Python's pow at dozens of points, the lab's logliks
+        # give the bytes of their scalar formulas
+        data = CdGenerator(model, "likelihood", 30, 1.5, seed).draw_data(0)
+        formula = (_exponential_loglik(float(np.sum(data)), n) if model == "exponential-rate"
+                   else _normal_loglik(float(np.mean(data)), 1.0, n))
+        dense = np.linspace(window[0], window[1], 20001)
+        assert np.asarray(loglik(dense, None)).tobytes() == np.array(
+            [formula(th, None) for th in dense.tolist()]).tobytes()
+
+        def one_at_a_time(cast):
+            def call(theta, eta):
+                if np.ndim(theta):
+                    raise TypeError("one theta per call")
+                return loglik(cast(theta), eta)
+            return call
+
+        for cast in (float, np.float64):
+            alone = profile_curve(one_at_a_time(cast), window, grid_size, n=n)
+            assert curve.grid.tobytes() == alone.grid.tobytes()
+            assert curve.ell_star.tobytes() == alone.ell_star.tobytes()
+            assert (curve.theta_hat, curve.i_n, curve.c_n) == (
+                alone.theta_hat, alone.i_n, alone.c_n)
 
     def test_peak_on_edge_raises(self):
         with pytest.raises(WindowTooNarrowError):

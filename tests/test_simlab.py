@@ -5,11 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest
 
-from cdkit.errors import ConfigError, InsufficientDataError, ParameterDomainError
+from cdkit.cd_core import (
+    FamilySpec,
+    _family_block,
+    _interval_probs,
+    cd_eval,
+    cd_quantile,
+    family_cd,
+)
+from cdkit.errors import (
+    ConfigError,
+    DegenerateSampleError,
+    InsufficientDataError,
+    ParameterDomainError,
+)
 from cdkit.inference import cd_mean, cd_median, cd_mode
 from cdkit.simlab import (
+    _REPLICATE_BLOCK,
+    _read_block,
     CdGenerator,
     calibrate,
     coverage,
@@ -249,3 +265,117 @@ class TestConsistency:
             errors[n] = (med / reps, mean / reps, mode / reps)
         for small, large in zip(errors[400], errors[100]):
             assert 1.8 <= large / small <= 2.2
+
+
+# ---------------------------------------------------------------------------
+# block reads: calibrate reads a block of replicate CDs together
+
+_PIVOTS = [("normal-mean-known-sigma", 0.7), ("normal-mean-unknown-sigma", -1.2),
+           ("normal-variance", 2.5), ("bivariate-normal-correlation", 0.6),
+           ("exponential-rate", 1.7)]
+_LEVELS = (0.5, 0.9, 0.95, 0.99)
+_PROBS = np.array([_interval_probs(lv)[0] for lv in _LEVELS]
+                  + [_interval_probs(lv)[1] for lv in _LEVELS] + [0.5])
+# not a multiple of the block, so the last block is short
+_REPS = _REPLICATE_BLOCK + 44
+
+
+def _one_at_a_time(gen, skip=()):
+    """calibrate's u-values, coverage and median fraction at _REPS and _LEVELS,
+    each CD read alone."""
+    rows = []
+    k = len(_LEVELS)
+    for i in range(_REPS):
+        if i in skip:
+            continue
+        cd = gen.replicate(i)
+        q = cd_quantile(cd, _PROBS)
+        rows.append((float(cd_eval(cd, gen.theta0)),
+                     [bool(q[j] <= gen.theta0 <= q[k + j]) for j in range(k)],
+                     bool(q[-1] <= gen.theta0)))
+    m = len(rows)
+    freqs = [sum(row[1][j] for row in rows) / m for j in range(k)]
+    return (np.array([row[0] for row in rows]), freqs, sum(row[2] for row in rows) / m)
+
+
+class TestBlockRead:
+    @pytest.mark.parametrize("model, theta0", _PIVOTS)
+    def test_block_cd_reads_each_cd_bit_for_bit(self, model, theta0):
+        gen = CdGenerator(model, "pivot", 12, theta0, 2024)
+        cds = [gen.replicate(i) for i in range(_REPLICATE_BLOCK + 3)]
+        block = _family_block(cds)
+        u = cd_eval(block, np.array([theta0]))
+        q = cd_quantile(block, _PROBS[:, None])
+        assert u.tobytes() == np.array([cd_eval(cd, theta0) for cd in cds]).tobytes()
+        want = np.column_stack([cd_quantile(cd, _PROBS) for cd in cds])
+        assert q.shape == want.shape and q.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r", [0.999999, -0.999999, 0.5, 0.3])
+    def test_fisher_z_block_keeps_math_atanh(self, r):
+        # numpy's vectorized arctanh rounds differently from math.atanh at
+        # many r (0.5 and 0.3 on AVX-512 hosts); each spec keeps math's
+        specs = [FamilySpec("fisher-z", {"r": v, "n": 40}) for v in (r, 0.1, r, -0.7)]
+        cds = [family_cd(spec) for spec in specs]
+        block = _family_block(cds)
+        for x in (r, 0.2, math.nextafter(r, 0.0)):
+            assert cd_eval(block, np.array([x])).tobytes() == np.array(
+                [cd_eval(cd, x) for cd in cds]).tobytes()
+        want = np.column_stack([cd_quantile(cd, _PROBS) for cd in cds])
+        assert cd_quantile(block, _PROBS[:, None]).tobytes() == want.tobytes()
+        # and each CD reads math.atanh(r), at sqrt(n - 3) = sqrt(37)
+        z = np.array([math.atanh(spec.params["r"]) for spec in specs])
+        assert want.tobytes() == np.tanh(z + ndtri(_PROBS)[:, None] / math.sqrt(37.0)).tobytes()
+
+    @pytest.mark.parametrize("model, theta0", _PIVOTS)
+    def test_calibrate_equals_one_cd_at_a_time(self, model, theta0):
+        gen = CdGenerator(model, "pivot", 15, theta0, 736)
+        report = calibrate(gen, _REPS, _LEVELS)
+        u, freqs, med = _one_at_a_time(gen)
+        assert report.u_values.tobytes() == u.tobytes()
+        assert [row[1] for row in report.coverage] == freqs
+        assert report.median_unbiased_fraction == med and report.failures == 0
+
+    def test_mixed_kinds_are_read_in_index_order(self):
+        gens = [CdGenerator("normal-mean-known-sigma", "pivot", 20, 0.3, 5),
+                CdGenerator("normal-mean-known-sigma", "likelihood", 20, 0.3, 5),
+                CdGenerator("normal-mean-known-sigma", "point-mass", 20, 0.3, 5),
+                CdGenerator("normal-mean-unknown-sigma", "pivot", 20, 0.3, 5),
+                CdGenerator("normal-mean-unknown-sigma", "pivot", 9, 0.3, 5),
+                CdGenerator("normal-mean-unknown-sigma", "raw-bootstrap", 20, 0.3, 5,
+                            {"B": 100})]
+        cds = [gens[i % len(gens)].replicate(i) for i in range(40)]
+        u, hits, below = _read_block(cds + [None], 0.3, _LEVELS)
+        k = len(_LEVELS)
+        for j, cd in enumerate(cds):
+            q = cd_quantile(cd, _PROBS)
+            assert u[j] == cd_eval(cd, 0.3)
+            assert list(hits[:, j]) == [q[i] <= 0.3 <= q[k + i] for i in range(k)]
+            assert below[j] == (q[-1] <= 0.3)
+
+    @pytest.mark.parametrize("model, theta0", _PIVOTS)
+    def test_failed_builds_leave_every_other_row(self, monkeypatch, model, theta0):
+        gen = CdGenerator(model, "pivot", 15, theta0, 42)
+        # the first and last replicates of both blocks, and one inside
+        failing = {0, 17, _REPLICATE_BLOCK - 1, _REPLICATE_BLOCK, _REPS - 1}
+        build = CdGenerator.build_cd
+
+        def flaky(self, data, index):
+            if index in failing:
+                raise DegenerateSampleError(f"replicate {index}")
+            return build(self, data, index)
+
+        u, freqs, med = _one_at_a_time(gen, skip=failing)
+        monkeypatch.setattr(CdGenerator, "build_cd", flaky)
+        report = calibrate(gen, _REPS, _LEVELS)
+        assert report.failures == len(failing)
+        assert report.u_values.tobytes() == u.tobytes()
+        assert [row[1] for row in report.coverage] == freqs
+        assert report.median_unbiased_fraction == med
+
+    @pytest.mark.parametrize("model, theta0", _PIVOTS)
+    def test_reports_equal_across_thread_counts(self, monkeypatch, model, theta0):
+        gen = CdGenerator(model, "pivot", 15, theta0, 739)
+        monkeypatch.setenv("CDKIT_THREADS", "1")
+        serial = report_to_json(calibrate(gen, _REPS, _LEVELS))
+        monkeypatch.setenv("CDKIT_THREADS", "2")
+        assert report_to_json(calibrate(gen, _REPS, _LEVELS)) == serial
