@@ -28,9 +28,9 @@ row of one table (location-scale over Normal or Student-t, inverse
 chi-square scale, Fisher z, chi-square rate) and holds its parameters.  A
 row is a pivot with a density; ``family_cd`` binds it to the spec and keeps
 the spec as ``cd.family``.  A family CD's file is its spec line alone, so it
-reloads as the same CD.  The lab reads its replicates a block at a time,
-where a row's parameters are arrays over family CDs of one row and base law
-and its ``math`` calls stay per spec (numpy's round differently).  A
+reloads as the same CD.  A row is one numpy expression in its parameters,
+so the lab reads its replicates a block at a time, the parameters arrays
+over family CDs of one row and base law, with each CD's bytes.  A
 monotone transform of a CD composes its pivot's maps with g, so its tails
 stay as exact as the CD's.
 
@@ -212,8 +212,8 @@ _FAMILIES = {
         base=lambda r, n: pk.Normal(),
         # sqrt(n - 3) (atanh x - atanh r): standard normal at x = theta
         to_base=lambda x, r, n: np.sqrt(n - 3.0) * (
-            np.arctanh(np.clip(np.asarray(x, float), -1.0, 1.0)) - _each(math.atanh, r)),
-        from_base=lambda q, r, n: np.tanh(_each(math.atanh, r) + q / np.sqrt(n - 3.0)),
+            np.arctanh(np.clip(np.asarray(x, float), -1.0, 1.0)) - np.arctanh(r)),
+        from_base=lambda q, r, n: np.tanh(np.arctanh(r) + q / np.sqrt(n - 3.0)),
         density=lambda f, x, r, n: f * np.sqrt(n - 3.0)
         / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300)),
     "chi2-rate": _Row(
@@ -226,29 +226,31 @@ _FAMILIES = {
 }
 
 
+def _bind(row: _Row, base, p, family, meta=None) -> ConfidenceDistribution:
+    """The row's pivot and density on the base law, bound to its parameters p:
+    a spec's floats, or arrays over a block of CDs.  ``cd.family`` is family."""
+    to_base = partial(row.to_base, **p)
+    cd = _pivot_cd(base, row.side, to_base, partial(row.from_base, **p), row.support,
+                   density_fn=lambda x: row.density(pk.density(base, to_base(x)), x, **p),
+                   meta=meta)
+    object.__setattr__(cd, "family", family)
+    return cd
+
+
 def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
     """The analytic CD of a family spec: the row's pivot and density, bound to
     the spec's parameters.  ``cd.family`` keeps the spec; no other factory
     sets it."""
     row, p = _FAMILIES[spec.name], dict(spec.params)
-    base, to_base = row.base(**p), partial(row.to_base, **p)
-    cd = _pivot_cd(base, row.side, to_base, partial(row.from_base, **p), row.support,
-                   density_fn=lambda x: row.density(pk.density(base, to_base(x)), x, **p),
-                   meta=meta)
-    object.__setattr__(cd, "family", spec)
-    return cd
+    return _bind(row, row.base(**p), p, spec, meta)
 
 
 def _family_block(cds) -> ConfidenceDistribution:
     """CDs of one family row and base law as one CD, the row's parameters arrays over
     them; cd_eval at [x] and cd_quantile at a column give each CD's bytes, a column each."""
     specs = tuple(cd.family for cd in cds)
-    row = _FAMILIES[specs[0].name]
     p = {key: np.array([s.params[key] for s in specs], dtype=float) for key in specs[0].params}
-    cd = _pivot_cd(cds[0].base, row.side, partial(row.to_base, **p), partial(row.from_base, **p),
-                   row.support)
-    object.__setattr__(cd, "family", specs)
-    return cd
+    return _bind(_FAMILIES[specs[0].name], cds[0].base, p, specs)
 
 
 def location_scale_cd(base: pk.DistKind, loc: float, scale: float, *,
@@ -536,11 +538,6 @@ def _try_eval(f, x):
         return f(x)
     except (ArithmeticError, ValueError):
         return math.nan
-
-
-def _each(f, x):
-    """f on x, or on each element of the 1-D array x: math's f rounds unlike numpy's."""
-    return f(x) if np.ndim(x) == 0 else np.array([f(v) for v in x.tolist()])
 
 
 def _elementwise(f, x):

@@ -141,14 +141,10 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
             f"profile curvature at the peak is not negative ({d2})", theta=theta_hat)
     i_n = -n / d2
 
-    if np.any(grid == theta_hat):
-        ell_star = ell - ell_hat
-        ell_star[grid == theta_hat] = 0.0
-    else:
-        pos = int(np.searchsorted(grid, theta_hat))
-        grid = np.insert(grid, pos, theta_hat)
-        ell_star = np.insert(ell - ell_hat, pos, 0.0)
-    ell_star = np.minimum(ell_star, 0.0)
+    # theta_hat, at 0, takes the place of a knot it falls on, or goes between two
+    a, b = (int(np.searchsorted(grid, theta_hat, side)) for side in ("left", "right"))
+    grid = np.concatenate([grid[:a], [theta_hat], grid[b:]])
+    ell_star = np.minimum(np.concatenate([ell[:a] - ell_hat, [0.0], ell[b:] - ell_hat]), 0.0)
     dens = np.exp(ell_star)
     c_n = float(np.sum(0.5 * (dens[:-1] + dens[1:]) * np.diff(grid)))
     return ProfileCurve(grid=grid, ell_star=ell_star, theta_hat=theta_hat,

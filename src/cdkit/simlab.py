@@ -32,7 +32,6 @@ from .bootstrap import (
 )
 from .cd_core import (
     ConfidenceDistribution,
-    _each,
     _family_block,
     _interval_probs,
     cd_eval,
@@ -252,14 +251,13 @@ class CdGenerator:
         if self.model == "exponential-rate":
             total = float(np.sum(data))
             est = n / total
-            loglik = lambda theta, _eta: n * _each(math.log, theta) - theta * total
+            loglik = lambda theta, _eta: n * np.log(theta) - theta * total
             half = 14.0 / math.sqrt(n)
             window = (max(est * (1.0 - half), est * 0.01), est * (1.0 + half))
             return likelihood_acd(loglik, window, grid_size, n=n, support=(1e-300, math.inf))
         xbar = float(np.mean(data))
         sigma = self._param("sigma", 1.0)
-        # Python's d ** 2 is libm's pow, which rounds differently from numpy's d * d
-        loglik = lambda t, _eta: -n * _each(lambda d: d ** 2, t - xbar) / (2.0 * sigma ** 2)
+        loglik = lambda t, _eta: -n * np.square(t - xbar) / (2.0 * sigma ** 2)
         half = 14.0 * sigma / math.sqrt(n)
         return likelihood_acd(loglik, (xbar - half, xbar + half), grid_size, n=n)
 
@@ -302,7 +300,7 @@ class CalibrationReport:
     config: dict
 
 
-def _replicate_summary(gen: CdGenerator, index: int, levels):
+def _replicate_summary(gen: CdGenerator, index: int):
     """Replicate index's CD, or None if its build raises (perfbench traces this signature)."""
     try:
         return gen.replicate(index)
@@ -330,12 +328,12 @@ def calibrate(gen: CdGenerator, reps: int, levels=_DEFAULT_LEVELS) -> Calibratio
 
     Each CD is built alone by ``map_indexed``, a pure function of its index.
     CDs are read ``_REPLICATE_BLOCK`` at a time, a family row's by one cd_eval
-    and one cd_quantile on arrays of its parameters; its math.* stays per spec."""
+    and one cd_quantile on arrays of its parameters."""
     if reps < 100:
         raise ConfigError("calibration needs reps >= 100")
     if not all(0.0 < lv < 1.0 for lv in levels):
         raise ConfigError(f"levels must lie in (0, 1), got {list(levels)}")
-    reads = [_read_block(map_indexed(lambda i: _replicate_summary(gen, start + i, levels),
+    reads = [_read_block(map_indexed(lambda i: _replicate_summary(gen, start + i),
                                      min(_REPLICATE_BLOCK, reps - start)), gen.theta0, levels)
              for start in range(0, reps, _REPLICATE_BLOCK)]
     u_arr, hits, below = (np.concatenate(parts, axis=-1) for parts in zip(*reads))

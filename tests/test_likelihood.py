@@ -97,15 +97,15 @@ class TestProfileCurve:
         on_array = np.asarray(loglik(grid, None)).tobytes()
         assert on_array == np.array([float(loglik(th, None)) for th in grid.tolist()]).tobytes()
         assert on_array == np.array([float(loglik(th, None)) for th in grid]).tobytes()
-        # on a dense array, where numpy's log and square would round unlike
-        # math.log and Python's pow at dozens of points, the lab's logliks
-        # give the bytes of their scalar formulas
+        # on a dense array, the lab's logliks give the bytes of their numpy
+        # expressions applied to one Python float at a time
         data = CdGenerator(model, "likelihood", 30, 1.5, seed).draw_data(0)
-        formula = (_exponential_loglik(float(np.sum(data)), n) if model == "exponential-rate"
-                   else _normal_loglik(float(np.mean(data)), 1.0, n))
+        total, xbar = float(np.sum(data)), float(np.mean(data))
+        formula = ((lambda th: n * np.log(th) - th * total) if model == "exponential-rate"
+                   else lambda th: -n * np.square(th - xbar) / (2.0 * 1.0 ** 2))
         dense = np.linspace(window[0], window[1], 20001)
         assert np.asarray(loglik(dense, None)).tobytes() == np.array(
-            [formula(th, None) for th in dense.tolist()]).tobytes()
+            [formula(th) for th in dense.tolist()]).tobytes()
 
         def one_at_a_time(cast):
             def call(theta, eta):
@@ -120,6 +120,30 @@ class TestProfileCurve:
             assert curve.ell_star.tobytes() == alone.ell_star.tobytes()
             assert (curve.theta_hat, curve.i_n, curve.c_n) == (
                 alone.theta_hat, alone.i_n, alone.c_n)
+
+    @pytest.mark.parametrize("centre", [0.0, 0.3 / 128])
+    def test_theta_hat_joins_the_grid_once(self, centre):
+        # the knots -1 + k / 128 are exact, so a parabola at 0 refines exactly
+        # onto the knot 0 and one at 0.3 / 128 between the knots 0 and 1 / 128
+        loglik = lambda t, _eta: -50.0 * np.square(t - centre)
+        curve = profile_curve(loglik, (-1.0, 1.0), 257, n=50)
+        grid = np.linspace(-1.0, 1.0, 257)
+        on_knot = bool(np.any(grid == curve.theta_hat))
+        assert on_knot == (centre == 0.0) and curve.theta_hat == pytest.approx(centre)
+        assert np.all(np.diff(curve.grid) > 0.0)
+        assert curve.ell_star[curve.grid == curve.theta_hat].tolist() == [0.0]
+        # the same bytes as the two-branch rule: zero theta_hat's knot, or
+        # insert theta_hat into the grid and 0 into ell_star
+        ell, ell_hat = loglik(grid, None), float(loglik(curve.theta_hat, None))
+        if on_knot:
+            want_grid, want_ell = grid, ell - ell_hat
+            want_ell[grid == curve.theta_hat] = 0.0
+        else:
+            pos = int(np.searchsorted(grid, curve.theta_hat))
+            want_grid = np.insert(grid, pos, curve.theta_hat)
+            want_ell = np.insert(ell - ell_hat, pos, 0.0)
+        assert curve.grid.tobytes() == want_grid.tobytes()
+        assert curve.ell_star.tobytes() == np.minimum(want_ell, 0.0).tobytes()
 
     def test_peak_on_edge_raises(self):
         with pytest.raises(WindowTooNarrowError):

@@ -312,8 +312,8 @@ class TestBlockRead:
 
     @pytest.mark.parametrize("r", [0.999999, -0.999999, 0.5, 0.3])
     def test_fisher_z_block_keeps_math_atanh(self, r):
-        # numpy's vectorized arctanh rounds differently from math.atanh at
-        # many r (0.5 and 0.3 on AVX-512 hosts); each spec keeps math's
+        # the row is numpy's arctanh and tanh, on a spec's floats or a block's
+        # arrays alike
         specs = [FamilySpec("fisher-z", {"r": v, "n": 40}) for v in (r, 0.1, r, -0.7)]
         cds = [family_cd(spec) for spec in specs]
         block = _family_block(cds)
@@ -322,9 +322,10 @@ class TestBlockRead:
                 [cd_eval(cd, x) for cd in cds]).tobytes()
         want = np.column_stack([cd_quantile(cd, _PROBS) for cd in cds])
         assert cd_quantile(block, _PROBS[:, None]).tobytes() == want.tobytes()
-        # and each CD reads math.atanh(r), at sqrt(n - 3) = sqrt(37)
-        z = np.array([math.atanh(spec.params["r"]) for spec in specs])
-        assert want.tobytes() == np.tanh(z + ndtri(_PROBS)[:, None] / math.sqrt(37.0)).tobytes()
+        # and each CD reads tanh(arctanh(r) + q / sqrt(n - 3)) in numpy, n = 40
+        r_of = np.array([spec.params["r"] for spec in specs])
+        formula = np.tanh(np.arctanh(r_of) + ndtri(_PROBS)[:, None] / np.sqrt(40.0 - 3.0))
+        assert want.tobytes() == formula.tobytes()
 
     @pytest.mark.parametrize("model, theta0", _PIVOTS)
     def test_calibrate_equals_one_cd_at_a_time(self, model, theta0):
