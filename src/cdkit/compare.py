@@ -10,15 +10,14 @@ the same dataset so the verdict reflects the construction, not the noise.
 Each statistic has one per-CD reader: ``sample_dispersion``, a risk
 functional built once per weight, and the tail-mass stack.  The risk and tail
 readers reduce H values, so a caller can read both off one ``cd_eval``.
-``mc_dispersion``, ``risk`` and ``dominance_mc`` loop one reader over a
-generator's replicates.  ``paired_compare``, which ``cdkit compare`` runs, is
-one paired pass: it builds each generator's CD once per replicate, on
-generator 1's data, evaluates each CD once, at the tail points and the risk
-nodes together, and reads all three statistics off it.  Dispersion and risk
-always describe a generator on its own draws.  Whether generator 2 draws
-generator 1's data is decided once, from the two generators' draw keys; when
-the keys differ, generator 2's own CD is built for its dispersion and risk,
-so the fused pass equals the separate ones bit for bit.
+``mc_dispersion``, ``risk``, ``dominance_mc`` and ``paired_compare`` hand
+one replicate's read to simlab's ``run_replicates``, the one replicate loop.
+The paired passes share ``_paired_draw``: each generator's CD on generator
+1's data, plus, for ``paired_compare`` when the draw keys differ, generator
+2's CD on its own draws, as dispersion and risk describe a generator on its
+own draws.  ``paired_compare``, which ``cdkit compare`` runs, evaluates each
+CD once and reads all three statistics off it; with one loop and one draw it
+equals the separate passes bit for bit.
 
 Dispersion is an expectation under the CD: it reads four probe quantiles,
 then the 2048 node quantiles of ``inference``'s one rule, which ``cd_mean``
@@ -45,7 +44,7 @@ from .cd_core import (
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
 from .inference import _expect, _gauss_legendre, _quantiles
-from .simlab import CdGenerator, map_indexed
+from .simlab import CdGenerator, run_replicates
 
 _RISK_POINTS = 256
 _MIN_REPS = 100
@@ -164,14 +163,9 @@ class McEstimate:
     values: np.ndarray
 
 
-def _mc_aggregate(values) -> McEstimate:
-    arr = np.asarray(values, dtype=float)
-    return McEstimate(
-        mean=float(np.mean(arr)),
-        se=float(np.std(arr, ddof=1) / math.sqrt(arr.size)),
-        reps=int(arr.size),
-        values=arr,
-    )
+def _mc_aggregate(arr: np.ndarray) -> McEstimate:
+    se = float(np.std(arr, ddof=1) / math.sqrt(arr.size))
+    return McEstimate(mean=float(np.mean(arr)), se=se, reps=arr.size, values=arr)
 
 
 def _check_reps(reps: int) -> None:
@@ -179,12 +173,16 @@ def _check_reps(reps: int) -> None:
         raise ConfigError(f"need at least {_MIN_REPS} replications, got {reps}")
 
 
+def _each_replicate(one, reps: int) -> np.ndarray:
+    """one(i) for i in range(reps) as one array, replicates along its first axis."""
+    return np.concatenate(run_replicates(one, range(reps), np.array))
+
+
 def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
     """Mean dispersion over seeded replications of a generator."""
     _check_reps(reps)
-    vals = map_indexed(lambda i: sample_dispersion(gen.replicate(i), loss, gen.theta0),
-                       reps)
-    return _mc_aggregate(vals)
+    return _mc_aggregate(_each_replicate(
+        lambda i: sample_dispersion(gen.replicate(i), loss, gen.theta0), reps))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,8 @@ def risk(gen: CdGenerator, spec: RiskSpec, reps: int) -> McEstimate:
     """MC mean of psi(|H(x) - 1[x >= theta0]|) integrated against the weight."""
     _check_reps(reps)
     nodes, reduce = _risk_reader(spec, gen.theta0)
-    return _mc_aggregate(map_indexed(lambda i: reduce(cd_eval(gen.replicate(i), nodes)), reps))
+    return _mc_aggregate(_each_replicate(lambda i: reduce(cd_eval(gen.replicate(i), nodes)),
+                                         reps))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +307,13 @@ def _tail_points(theta0: float, eps_arr: np.ndarray) -> np.ndarray:
     return np.concatenate([theta0 - eps_arr, theta0 + eps_arr])
 
 
+def _paired_draw(gen1: CdGenerator, gen2: CdGenerator, own: bool, index: int) -> tuple:
+    """(gen1's CD, gen2's CD) on gen1's data, and gen2's CD on its own draws (cd2 unless own)."""
+    data = gen1.draw_data(index)
+    cd1, cd2 = gen1.build_cd(data, index), gen2.build_cd(data, index)
+    return cd1, cd2, (gen2.replicate(index) if own else cd2)
+
+
 def _tail_stack(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """(4, n_eps): H1(lows), H2(lows), 1 - H1(highs), 1 - H2(highs).
 
@@ -359,11 +365,10 @@ def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
     tails = _tail_points(theta0, eps_arr)
 
     def one(i):
-        data = gen1.draw_data(i)
-        return _tail_stack(cd_eval(gen1.build_cd(data, i), tails),
-                           cd_eval(gen2.build_cd(data, i), tails))
+        cd1, cd2, _ = _paired_draw(gen1, gen2, False, i)
+        return _tail_stack(cd_eval(cd1, tails), cd_eval(cd2, tails))
 
-    return _dominance_report(theta0, eps_arr, np.stack(map_indexed(one, reps)), reps)
+    return _dominance_report(theta0, eps_arr, _each_replicate(one, reps), reps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,14 +389,13 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
                    reps: int) -> PairedComparison:
     """dominance_mc, mc_dispersion and risk of both generators in one pass.
 
-    Replicate i draws gen1's data once and builds each generator's CD on it
-    once; each CD is evaluated once, at the tail points and the risk nodes
-    together, and the tail masses, both dispersions and both risks are read
-    off those two CDs.  Dispersion and risk describe each generator on its
-    own draws, as mc_dispersion and risk do.  The generators' draw keys say,
-    once for the whole pass, whether gen2 draws gen1's data; when they differ
-    (another seed, theta0 or sigma), gen2's own CD is built for those reads.
-    So the result equals the three separate calls bit for bit.
+    Replicate i is dominance_mc's paired draw; each CD is evaluated once, at
+    the tail points and the risk nodes together, and the tail masses, both
+    dispersions and both risks are read off it.  Dispersion and risk describe
+    each generator on its own draws, as mc_dispersion and risk do: when the
+    draw keys differ (another seed, theta0 or sigma), the draw adds gen2's
+    own CD for those reads.  One loop and one draw, so the result equals the
+    three separate calls bit for bit.
 
     Dispersion is under squared error; risk weighs uniformly over theta0 +- 3
     IQR of gen1's replicate-0 CD, so replicate 0 is built first and read like
@@ -401,15 +405,8 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
     theta0 = float(theta0)
     tails = _tail_points(theta0, eps_arr)
     shared = gen1.draw_key == gen2.draw_key
-
-    def build(i):
-        """(gen1's CD, gen2's CD on gen1's data, gen2's CD on its own data)."""
-        data = gen1.draw_data(i)
-        cd1 = gen1.build_cd(data, i)
-        cd2 = gen2.build_cd(data, i)
-        return cd1, cd2, (cd2 if shared else gen2.replicate(i))
-
-    first = build(0)
+    draw = partial(_paired_draw, gen1, gen2, not shared)
+    first = draw(0)
     q25, q75 = cd_quantile(first[0], np.array([0.25, 0.75]))
     spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
     nodes, risk1 = _risk_reader(spec, gen1.theta0)
@@ -417,8 +414,8 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
     points = np.concatenate([tails, nodes])
     n_tail = tails.size
 
-    def read(cds):
-        cd1, cd2, own2 = cds
+    def one(i):
+        cd1, cd2, own2 = first if i == 0 else draw(i)
         h1 = cd_eval(cd1, points)
         if shared:
             h2 = cd_eval(cd2, points)
@@ -431,11 +428,12 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
                 sample_dispersion(own2, SquaredError, gen2.theta0),
                 risk1(h1[n_tail:]), risk2(h_own2))
 
-    rows = [read(first)] + map_indexed(lambda i: read(build(i + 1)), reps - 1)
+    blocks = run_replicates(one, range(reps), lambda rows: [np.array(c) for c in zip(*rows)])
+    stacks, disp1, disp2, risks1, risks2 = (np.concatenate(parts) for parts in zip(*blocks))
     return PairedComparison(
-        dominance=_dominance_report(theta0, eps_arr, np.stack([r[0] for r in rows]), reps),
-        dispersion=tuple(_mc_aggregate([r[k] for r in rows]) for k in (1, 2)),
-        risk=tuple(_mc_aggregate([r[k] for r in rows]) for k in (3, 4)),
+        dominance=_dominance_report(theta0, eps_arr, stacks, reps),
+        dispersion=(_mc_aggregate(disp1), _mc_aggregate(disp2)),
+        risk=(_mc_aggregate(risks1), _mc_aggregate(risks2)),
         first_cds=(first[0], first[2]),
     )
 

@@ -5,6 +5,7 @@ construction recipe.  Replicate i draws data from the sub-stream
 (master_seed, i, 0) and hands resampling randomness the sub-stream
 (master_seed, i, 1), so every replicate is a pure function of the config and
 its index: reports are bit-for-bit reproducible at any worker count.
+``run_replicates`` is the one loop over replicates, for calibrate and compare.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -54,7 +57,7 @@ from .likelihood import _MIN_GRID, likelihood_acd
 __all__ = [
     "CdGenerator",
     "CalibrationReport",
-    "map_indexed",
+    "run_replicates",
     "ks_uniform",
     "calibrate",
     "coverage",
@@ -65,7 +68,7 @@ __all__ = [
 ]
 
 _DEFAULT_LEVELS = (0.5, 0.9, 0.95, 0.99)
-_REPLICATE_BLOCK = 256  # calibrate builds, then reads, this many CDs at a time
+_REPLICATE_BLOCK = 256  # run_replicates hands reduce this many replicates at a time
 
 # which construction recipes make sense for which data model
 _SUPPORTED = {
@@ -104,25 +107,23 @@ _ASYMPTOTIC = {
 }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CDKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def run_replicates(one, indices, reduce) -> list:
+    """[reduce([one(i) for i in block]) for each block of indices], in index order.
 
-
-def map_indexed(fn, count: int) -> list:
-    """fn(i) for i in range(count), in index order.
-
-    CDKIT_THREADS > 1 fans the calls out to a thread pool; each call must be
-    a pure function of its index, so the result list is identical either way.
+    CDKIT_THREADS > 1 maps one over each block of ``_REPLICATE_BLOCK`` on one
+    thread pool of at most os.cpu_count() workers.  one(i) must be a pure
+    function of i, so the result is identical either way.  one handles its own
+    failures: an exception it lets out ends the run, the lowest index's first.
     """
-    workers = _thread_count()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
+    try:
+        workers = min(int(os.environ.get("CDKIT_THREADS", "1")), os.cpu_count() or 1,
+                      len(indices))
+    except ValueError:
+        workers = 1
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        walk = map if pool is None else pool.map
+        return [reduce(list(walk(one, indices[start:start + _REPLICATE_BLOCK])))
+                for start in range(0, len(indices), _REPLICATE_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -326,16 +327,15 @@ def _read_block(built, theta0, levels):
 def calibrate(gen: CdGenerator, reps: int, levels=_DEFAULT_LEVELS) -> CalibrationReport:
     """reps seeded (data, CD) draws, u-values, KS, coverage, median check.
 
-    Each CD is built alone by ``map_indexed``, a pure function of its index.
-    CDs are read ``_REPLICATE_BLOCK`` at a time, a family row's by one cd_eval
-    and one cd_quantile on arrays of its parameters."""
+    Each CD is built alone, a pure function of its index, and dropped and
+    counted if its build raises a CdkitError.  ``_read_block`` reads a block
+    of them, a family row's by one cd_eval and one cd_quantile."""
     if reps < 100:
         raise ConfigError("calibration needs reps >= 100")
     if not all(0.0 < lv < 1.0 for lv in levels):
         raise ConfigError(f"levels must lie in (0, 1), got {list(levels)}")
-    reads = [_read_block(map_indexed(lambda i: _replicate_summary(gen, start + i),
-                                     min(_REPLICATE_BLOCK, reps - start)), gen.theta0, levels)
-             for start in range(0, reps, _REPLICATE_BLOCK)]
+    reads = run_replicates(partial(_replicate_summary, gen), range(reps),
+                           partial(_read_block, theta0=gen.theta0, levels=levels))
     u_arr, hits, below = (np.concatenate(parts, axis=-1) for parts in zip(*reads))
     m = u_arr.size
     if m < 10:

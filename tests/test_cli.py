@@ -20,6 +20,7 @@ from cdkit.constructors import (
     normal_mean_cd,
     normal_variance_cd,
 )
+from cdkit.errors import DegenerateSampleError
 from cdkit.inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from cdkit.multivariate import (
     DepthSpec,
@@ -493,6 +494,33 @@ class TestCompare:
         assert code == 0
         assert sorted(calls) == sorted((c, i) for c in ("pivot", "likelihood")
                                        for i in range(100))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("seed2", [8, 9], ids=["shared draws", "own draws"])
+    def test_a_failing_replicate_ends_the_run(self, capsys, tmp_path, monkeypatch, seed2,
+                                              threads):
+        # the lowest failing replicate's error, at any thread count, and no artifact
+        original = CdGenerator.build_cd
+
+        def failing(gen, data, index):
+            if index in (7, 300):
+                raise DegenerateSampleError(f"replicate {index}")
+            return original(gen, data, index)
+
+        monkeypatch.setattr(CdGenerator, "build_cd", failing)
+        monkeypatch.setenv("CDKIT_THREADS", threads)
+        c1 = tmp_path / "g1.json"
+        c2 = tmp_path / "g2.json"
+        c1.write_text(json.dumps({"model": "normal-mean-known-sigma", "constructor": "pivot",
+                                  "n": 10, "theta0": 0.0, "seed": 8}))
+        c2.write_text(json.dumps({"model": "normal-mean-known-sigma",
+                                  "constructor": "asymptotic-median",
+                                  "n": 10, "theta0": 0.0, "seed": seed2}))
+        code, stdout, err = _run(capsys, [
+            "compare", "--config1", str(c1), "--config2", str(c2),
+            "--eps", "0.2", "--reps", "400", "--out-prefix", str(tmp_path / "cmp")])
+        assert (code, stdout, err) == (1, "", "DegenerateSampleError: replicate 7\n")
+        assert list(tmp_path.glob("cmp-*")) == []
 
     def test_shape_mismatch_is_config_error(self, capsys, tmp_path):
         c1 = tmp_path / "g1.json"

@@ -50,6 +50,7 @@ from cdkit.constructors import (
 )
 from cdkit.errors import (
     ConfigError,
+    DegenerateSampleError,
     NonintegrableCdError,
     PairingError,
     ParameterDomainError,
@@ -523,6 +524,25 @@ class TestPairedCompare:
         s = np.linspace(0.01, 0.99, 99)
         for got, gen in zip(fused.first_cds, (gen1, gen2)):
             assert np.array_equal(cd_quantile(got, s), cd_quantile(gen.replicate(0), s))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_lowest_failing_replicate_ends_each_pass(self, monkeypatch, threads):
+        original = CdGenerator.build_cd
+
+        def failing(gen, data, index):
+            if index in (7, 300):
+                raise DegenerateSampleError(f"replicate {index}")
+            return original(gen, data, index)
+
+        monkeypatch.setattr(CdGenerator, "build_cd", failing)
+        monkeypatch.setenv("CDKIT_THREADS", threads)
+        gen1, gen2 = self.CASES["own draws"]
+        passes = [functools.partial(dominance_mc, gen1, gen2, THETA0, self.EPS),
+                  functools.partial(mc_dispersion, gen1, SquaredError),
+                  functools.partial(risk, gen2, default_risk(THETA0, 1.0))]
+        for run in passes:
+            with pytest.raises(DegenerateSampleError, match="^replicate 7$"):
+                run(400)
 
     def test_config_checks_come_before_any_replicate(self, monkeypatch):
         def refuse(gen, data, index):

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from cdkit import simlab
 from cdkit.cd_core import (
     FamilySpec,
     _family_block,
@@ -33,8 +34,8 @@ from cdkit.simlab import (
     generator_from_config,
     generator_to_config,
     ks_uniform,
-    map_indexed,
     report_to_json,
+    run_replicates,
 )
 
 
@@ -239,13 +240,54 @@ class TestDeterminism:
         threaded = report_to_json(calibrate(gen, 120, levels=(0.9,)))
         assert serial == threaded
 
-    def test_map_indexed_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("CDKIT_THREADS", "8")
-        assert map_indexed(lambda i: i * i, 50) == [i * i for i in range(50)]
+    @staticmethod
+    def _record_pools(monkeypatch, cpus):
+        """Each pool's max_workers; the pools map serially and start no thread."""
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", Recorder)
+        return pools
+
+    def test_replicates_reach_reduce_in_blocks_in_order(self, monkeypatch):
+        monkeypatch.setenv("CDKIT_THREADS", "2")
+        blocks = run_replicates(lambda i: i * i, range(300), tuple)
+        assert [len(b) for b in blocks] == [_REPLICATE_BLOCK, 44] == [256, 44]
+        assert [v for b in blocks for v in b] == [i * i for i in range(300)]
 
     def test_bad_thread_env_falls_back_to_serial(self, monkeypatch):
+        pools = self._record_pools(monkeypatch, 2)
         monkeypatch.setenv("CDKIT_THREADS", "many")
-        assert map_indexed(lambda i: i, 5) == [0, 1, 2, 3, 4]
+        assert run_replicates(lambda i: i, range(5), list) == [[0, 1, 2, 3, 4]]
+        assert pools == []
+
+    @pytest.mark.parametrize("threads, cpus, count, pools", [
+        ("64", 2, 300, [2]),    # capped at the CPU count
+        ("64", None, 300, []),  # an unknown CPU count runs serially
+        ("2", 8, 300, [2]),
+        ("8", 8, 3, [3]),       # never more workers than indices
+        ("1", 8, 300, []),
+    ])
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, threads, cpus, count,
+                                                  pools):
+        made = self._record_pools(monkeypatch, cpus)
+        monkeypatch.setenv("CDKIT_THREADS", threads)
+        blocks = run_replicates(lambda i: -i, range(count), list)
+        assert [v for b in blocks for v in b] == [-i for i in range(count)]
+        assert made == pools
 
 
 class TestConsistency:
