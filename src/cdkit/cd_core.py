@@ -272,7 +272,7 @@ def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:
     H is 0 below the first knot and 1 from the last knot on, so masses
     values[0] and 1 - values[-1] sit on the end knots.
     """
-    th = np.asarray(theta, dtype=float)
+    th = np.array(theta, dtype=float)
     va = np.asarray(values, dtype=float)
     if th.ndim != 1 or th.size < 2 or th.shape != va.shape:
         raise ParameterDomainError("grid CD needs matching 1-D knot and value arrays, length >= 2")
@@ -284,8 +284,11 @@ def grid_cd(theta, values, *, meta=None) -> ConfidenceDistribution:
         raise ParameterDomainError("grid CDF values must lie in [0, 1]")
     if np.any(np.diff(va) < -1e-9):
         raise MonotonicityError("grid CDF values must be nondecreasing")
+    return _grid_cd(th, va, meta)
+
+
+def _grid_cd(th, va, meta) -> ConfidenceDistribution:  # grid_cd past its checks; th is kept
     va = np.maximum.accumulate(np.clip(va, 0.0, 1.0))
-    th = th.copy()
     th.setflags(write=False)
     va.setflags(write=False)
     return ConfidenceDistribution(kind="grid", support=(th[0], th[-1]),

@@ -45,7 +45,11 @@ class NonintegrableCdError(CdkitError, ArithmeticError):
 
 
 class WindowTooNarrowError(CdkitError, ValueError):
-    """A likelihood window clips non-negligible mass at an edge."""
+    """A likelihood window clips mass at an edge; carries a peak sitting on it."""
+
+    def __init__(self, message: str, edge_theta: float | None = None):
+        super().__init__(message)
+        self.edge_theta = edge_theta
 
 
 class OptimizationFailureError(CdkitError, ArithmeticError):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import probkernel as pk
-from .cd_core import ConfidenceDistribution, analytic_cd, grid_cd, location_scale_cd, write_table
+from .cd_core import ConfidenceDistribution, _grid_cd, analytic_cd, location_scale_cd, write_table
 from .errors import (
     OptimizationFailureError,
     ParameterDomainError,
@@ -47,21 +47,29 @@ class ProfileCurve:
     ell_star: np.ndarray
     theta_hat: float
     i_n: float
-    c_n: float
     n: int
+    c_n: float = field(init=False)  # the sum of the trapezoid steps of exp(ell_star)
+    _steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (np.all(np.diff(self.grid) > 0.0) and self.grid.ndim == 1):
-            raise ParameterDomainError("profile grid must be strictly increasing")
+        h = np.diff(self.grid)  # positive and finite only on a finite, rising grid
+        if not (self.grid.ndim == 1 and self.ell_star.shape == self.grid.shape
+                and h.size > 0 and np.all((h > 0.0) & (h < math.inf))):
+            raise ParameterDomainError("profile grid must be finite and strictly increasing")
         peak = int(np.argmax(self.ell_star))
         if abs(self.ell_star[peak]) > 1e-9 or abs(self.grid[peak] - self.theta_hat) > 1e-9:
             raise ParameterDomainError("ell_star must peak at zero at theta_hat")
         if not (self.i_n > 0.0 and math.isfinite(self.i_n)):
             raise ParameterDomainError("unit information must be positive and finite")
-        if not (self.c_n > 0.0 and math.isfinite(self.c_n)):
+        dens = np.exp(self.ell_star)
+        steps = 0.5 * (dens[:-1] + dens[1:]) * h
+        c_n = float(np.sum(steps))
+        if not (c_n > 0.0 and math.isfinite(c_n)):
             raise ParameterDomainError("normalizer must be positive and finite")
-        self.grid.setflags(write=False)
-        self.ell_star.setflags(write=False)
+        object.__setattr__(self, "c_n", c_n)
+        object.__setattr__(self, "_steps", steps)
+        for arr in (self.grid, self.ell_star, steps):
+            arr.setflags(write=False)
 
 
 def scalar_maximizer(lo: float, hi: float):
@@ -119,9 +127,8 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
 
     k = int(np.argmax(ell))
     if k == 0 or k == grid_size - 1:
-        err = WindowTooNarrowError(f"profile peak sits on the window edge at {grid[k]}")
-        err.edge_theta = float(grid[k])
-        raise err
+        raise WindowTooNarrowError(f"profile peak sits on the window edge at {grid[k]}",
+                                   edge_theta=float(grid[k]))
     h = grid[1] - grid[0]
     denom = ell[k - 1] - 2.0 * ell[k] + ell[k + 1]
     theta_hat = float(grid[k])
@@ -145,10 +152,7 @@ def profile_curve(loglik, theta_window, grid_size: int = 256,
     a, b = (int(np.searchsorted(grid, theta_hat, side)) for side in ("left", "right"))
     grid = np.concatenate([grid[:a], [theta_hat], grid[b:]])
     ell_star = np.minimum(np.concatenate([ell[:a] - ell_hat, [0.0], ell[b:] - ell_hat]), 0.0)
-    dens = np.exp(ell_star)
-    c_n = float(np.sum(0.5 * (dens[:-1] + dens[1:]) * np.diff(grid)))
-    return ProfileCurve(grid=grid, ell_star=ell_star, theta_hat=theta_hat,
-                        i_n=i_n, c_n=c_n, n=n)
+    return ProfileCurve(grid=grid, ell_star=ell_star, theta_hat=theta_hat, i_n=i_n, n=n)
 
 
 def normalize_to_acd(curve: ProfileCurve) -> ConfidenceDistribution:
@@ -156,12 +160,10 @@ def normalize_to_acd(curve: ProfileCurve) -> ConfidenceDistribution:
     if curve.ell_star[0] > _EDGE_LOG or curve.ell_star[-1] > _EDGE_LOG:
         raise WindowTooNarrowError(
             "profile mass has not decayed below 1e-12 at the window edges; widen the window")
-    dens = np.exp(curve.ell_star)
-    steps = 0.5 * (dens[:-1] + dens[1:]) * np.diff(curve.grid)
-    values = np.concatenate([[0.0], np.cumsum(steps)]) / curve.c_n
+    values = np.concatenate([[0.0], np.cumsum(curve._steps)]) / curve.c_n
     meta = {"theta_hat": curve.theta_hat, "i_n": curve.i_n, "c_n": curve.c_n,
             "n": curve.n, "source": "profile"}
-    return grid_cd(curve.grid, np.clip(values, 0.0, 1.0), meta=meta)
+    return _grid_cd(curve.grid, values, meta)
 
 
 def wald_acd(theta_hat: float, i_n: float, n: int, window=None) -> ConfidenceDistribution:
@@ -202,30 +204,21 @@ def likelihood_acd(loglik, theta_window, grid_size: int = 256,
                    support=(-math.inf, math.inf)) -> ConfidenceDistribution:
     """Profile, then normalize, auto-widening the window up to three times.
 
-    On insufficient edge decay the window is recentered at the current peak
-    with half-width 10 * sqrt(i_n / n), doubled on each further attempt and
-    clamped to the parameter support.
+    A peak on the window edge recentres the window there, half-width its old
+    width; too little edge decay recentres it at the peak, half-width 10 *
+    sqrt(i_n / n) doubled per attempt.  Windows are clamped to the support.
     """
     window = (float(theta_window[0]), float(theta_window[1]))
     for attempt in range(4):
         try:
             curve = profile_curve(loglik, window, grid_size, nuisance_optimizer, n=n)
+            return normalize_to_acd(curve)
         except WindowTooNarrowError as exc:
             if attempt == 3:
                 raise
-            edge = getattr(exc, "edge_theta", 0.5 * (window[0] + window[1]))
-            width = window[1] - window[0]
-            window = (max(edge - width, support[0]), min(edge + width, support[1]))
-            continue
-        try:
-            return normalize_to_acd(curve)
-        except WindowTooNarrowError:
-            if attempt == 3:
-                raise
-            half = 10.0 * math.sqrt(curve.i_n / n) * 2.0 ** attempt
-            window = (max(curve.theta_hat - half, support[0]),
-                      min(curve.theta_hat + half, support[1]))
-    raise WindowTooNarrowError("window widening exhausted")  # pragma: no cover
+            centre, half = ((exc.edge_theta, window[1] - window[0]) if exc.edge_theta is not None
+                            else (curve.theta_hat, 10.0 * math.sqrt(curve.i_n / n) * 2.0 ** attempt))
+            window = (max(centre - half, support[0]), min(centre + half, support[1]))
 
 
 def dump_profile(curve: ProfileCurve, path) -> None:

@@ -8,8 +8,9 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import kstest
 
+import cdkit.likelihood as likelihood
 import cdkit.simlab as simlab
-from cdkit.cd_core import cd_density, cd_eval, cd_log_lower, cd_log_upper, cd_quantile
+from cdkit.cd_core import cd_density, cd_eval, cd_log_lower, cd_log_upper, cd_quantile, grid_cd
 from cdkit.errors import (
     OptimizationFailureError,
     ParameterDomainError,
@@ -166,8 +167,21 @@ class TestProfileCurve:
     def test_curve_invariants_enforced(self):
         grid = np.linspace(-1.0, 1.0, 65)
         with pytest.raises(ParameterDomainError):
-            ProfileCurve(grid=grid, ell_star=np.full(65, -1.0), theta_hat=0.0,
-                         i_n=1.0, c_n=1.0, n=10)
+            ProfileCurve(grid=grid, ell_star=np.full(65, -1.0), theta_hat=0.0, i_n=1.0, n=10)
+
+    @pytest.mark.parametrize("grid, ell_star, theta_hat", [
+        ([-1.0, 0.0, np.inf], [-0.5, 0.0, -3.125], 0.0),              # a knot is not finite
+        ([-1.0, 0.0, 0.0, 2.5], [-0.5, 0.0, -0.1, -3.125], 0.0),      # the grid does not rise
+        ([], [], 0.0),                                                # no knot at all
+        ([-1.0, 0.0, 2.5], [np.nan, 0.0, -3.125], 0.0),               # NaN off the peak
+        ([-1.0, 0.0, 2.5], [-0.5, np.nan, -3.125], 0.0),              # NaN at theta_hat
+        ([-1.0, 0.0, 2.5], [-0.5, 0.0, -3.125], 0.5),                 # peak off theta_hat
+    ])
+    def test_hand_built_curve_rejected(self, grid, ell_star, theta_hat):
+        # the curve's checks are the only ones its normalized CD runs
+        with pytest.raises(ParameterDomainError):
+            ProfileCurve(grid=np.array(grid), ell_star=np.array(ell_star),
+                         theta_hat=theta_hat, i_n=1.0, n=10)
 
     def test_dump_csv(self, tmp_path):
         curve = profile_curve(_normal_loglik(0.0, 1.0, 30), (-2.0, 2.0), 64, n=30)
@@ -210,6 +224,38 @@ class TestNormalizeToAcd:
         root10 = math.sqrt(10.0)
         assert spreads[100] / spreads[1000] == pytest.approx(root10, rel=0.10)
         assert spreads[1000] / spreads[10000] == pytest.approx(root10, rel=0.10)
+
+    @pytest.mark.parametrize("shift", [-4.0, 0.0, 4.0])
+    @pytest.mark.parametrize("grid_size", [64, 256, 257, 512])
+    @pytest.mark.parametrize("model", ["normal-mean-known-sigma", "exponential-rate"])
+    def test_bytes_of_the_checked_grid_cd(self, model, grid_size, shift):
+        # the curve's own c_n and steps give the bytes of the checked path:
+        # the trapezoid sum, then grid_cd on the clipped running integral.
+        # The log-likelihoods are the lab's; the windows sit shift sd off the estimate
+        n = 100 if model == "exponential-rate" else 30
+        data = CdGenerator(model, "likelihood", n, 1.3, 17, {"sigma": 1.3}).draw_data(0)
+        if model == "exponential-rate":
+            total = float(np.sum(data))
+            est = n / total
+            loglik = lambda th, _eta: n * np.log(th) - th * total
+            sd = est / math.sqrt(n)
+        else:
+            est, sd = float(np.mean(data)), 1.3 / math.sqrt(n)
+            loglik = lambda th, _eta: -n * np.square(th - est) / (2.0 * 1.3 ** 2)
+        window = (est + (shift - 16.0) * sd, est + (shift + 16.0) * sd)
+        if model == "exponential-rate":
+            window = (max(window[0], 0.01 * est), window[1])
+        curve = profile_curve(loglik, window, grid_size, n=n)
+        dens = np.exp(curve.ell_star)
+        steps = 0.5 * (dens[:-1] + dens[1:]) * np.diff(curve.grid)
+        c_n = float(np.sum(steps))
+        want = grid_cd(curve.grid, np.clip(np.concatenate([[0.0], np.cumsum(steps)]) / c_n,
+                                           0.0, 1.0))
+        got = normalize_to_acd(curve)
+        assert curve.c_n == c_n and got.meta["c_n"] == c_n
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.support == want.support
 
     def test_normalizer_matches_laplace_approximation(self):
         n, m = 400, 1.25
@@ -274,6 +320,46 @@ class TestAutoWiden:
                             support=(-math.inf, math.inf))
         # the recovered window is wide, so grid resolution bounds the accuracy
         assert cd_quantile(cd, 0.5) == pytest.approx(6.0, abs=1e-3)
+
+    @staticmethod
+    def _windows(monkeypatch):
+        """Record each window likelihood_acd profiles, and each curve it gets."""
+        windows, curves = [], []
+
+        def spy(loglik, window, *args, **kwargs):
+            windows.append(tuple(window))
+            curves.append(profile_curve(loglik, window, *args, **kwargs))
+            return curves[-1]
+
+        monkeypatch.setattr(likelihood, "profile_curve", spy)
+        return windows, curves
+
+    def test_windows_tried_on_both_paths(self, monkeypatch):
+        # the peak at 1.5 sits on the edge of (0, 1): the window recentres
+        # there with the old width as half-width; the mass of (0, 2) has not
+        # decayed at 2, so the third window is theta_hat +- 10 sqrt(i_n / n),
+        # doubled once as it is the second attempt's
+        windows, curves = self._windows(monkeypatch)
+        likelihood_acd(_normal_loglik(1.5, 1.0, 40), (0.0, 1.0), 128, n=40)
+        second = curves[0]  # the edge peak on (0, 1) gave no curve
+        half = 10.0 * math.sqrt(second.i_n / 40) * 2.0
+        assert windows == [(0.0, 1.0), (0.0, 2.0),
+                           (second.theta_hat - half, second.theta_hat + half)]
+
+    def test_reraises_after_the_fourth_window(self, monkeypatch):
+        # the edge path: a peak at 6 beyond a support that ends at 3
+        windows, _ = self._windows(monkeypatch)
+        with pytest.raises(WindowTooNarrowError, match="window edge at 3"):
+            likelihood_acd(_normal_loglik(6.0, 1.0, 40), (0.0, 1.0), 128, n=40,
+                           support=(-math.inf, 3.0))
+        assert windows == [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.0, 3.0)]
+        # the decay path: heavy tails that 10, 20 and 40 sqrt(i_n / n) do not reach
+        windows, curves = self._windows(monkeypatch)
+        with pytest.raises(WindowTooNarrowError, match="not decayed"):
+            likelihood_acd(lambda t, _eta: -2.0 * np.log1p(np.square(t)), (-1.0, 1.5), 128, n=2)
+        halves = [10.0 * math.sqrt(c.i_n / 2) * 2.0 ** k for k, c in enumerate(curves[:3])]
+        assert windows == [(-1.0, 1.5)] + [(c.theta_hat - h, c.theta_hat + h)
+                                           for c, h in zip(curves, halves)]
 
     def test_support_clamp_keeps_rate_positive(self):
         n, m = 50, 0.8

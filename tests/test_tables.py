@@ -35,7 +35,7 @@ from cdkit.simlab import dump_u_values
 # every writer, byte for byte
 
 _PROFILE = ProfileCurve(grid=np.array([-1.0, 0.0, 2.5]), ell_star=np.array([-0.5, 0.0, -3.125]),
-                        theta_hat=0.0, i_n=1.0, c_n=2.0, n=4)
+                        theta_hat=0.0, i_n=1.0, n=4)
 _REPS = dict(n=5, theta_hat=0.2, theta=np.array([0.1, 0.7]))
 
 WRITERS = {
