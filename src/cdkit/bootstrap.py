@@ -217,9 +217,8 @@ def hall_bootstrap_cd(data: DataSample, plan: ResamplePlan) -> ConfidenceDistrib
         return piv, None
 
     rep = resample_block(data, plan, pivots)
-    meta = {"variant": "hall", "n_resamples": rep.kept, "excluded": rep.excluded,
-            "theta_hat": center, "skewness": data.skewness}
-    return sample_cd(hall_pivot_inverse(data, rep.theta), meta=meta)
+    return sample_cd(hall_pivot_inverse(data, rep.theta),
+                     meta=_meta(rep, "hall", theta_hat=center, skewness=data.skewness))
 
 
 def dump_replicates(rep: ReplicateSet, path) -> None:

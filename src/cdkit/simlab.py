@@ -86,7 +86,8 @@ _SUPPORTED = {
     "exponential-rate": ("pivot", "likelihood", "point-mass"),
 }
 
-_PARAM_KEYS = ("sigma", "mean", "B", "grid_size")
+# params keys, in the order config errors list them, with the value each takes when absent
+_PARAM_DEFAULTS = {"sigma": 1.0, "mean": 0.0, "B": 1000, "grid_size": 256}
 
 _BOOTSTRAP = {"raw-bootstrap", "reflected-bootstrap", "bootstrap-t", "hall-bootstrap"}
 
@@ -162,30 +163,28 @@ class CdGenerator:
 
     def _check_params(self):
         # bad params fail here, as config errors, not inside every replicate
-        unknown = [key for key in self.params if key not in _PARAM_KEYS]
+        unknown = [key for key in self.params if key not in _PARAM_DEFAULTS]
         if unknown:
             raise ConfigError(f"unknown params key {unknown[0]!r}; known keys are "
-                              f"{', '.join(_PARAM_KEYS)}")
-
-        def value(key, cast, default):
-            try:
-                return cast(self.params.get(key, default))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"params.{key} must be a number") from exc
-
-        sigma = value("sigma", float, 1.0)
+                              f"{', '.join(_PARAM_DEFAULTS)}")
+        sigma = self._param("sigma")
         if not (sigma > 0.0 and math.isfinite(sigma)):
             raise ConfigError(f"params.sigma must be positive and finite, got {sigma!r}")
-        mean = value("mean", float, 0.0)
+        mean = self._param("mean")
         if not math.isfinite(mean):
             raise ConfigError(f"params.mean must be finite, got {mean!r}")
-        for key, default, floor in (("B", 1000, _MIN_RESAMPLES), ("grid_size", 256, _MIN_GRID)):
-            size = value(key, int, default)
+        for key, floor in (("B", _MIN_RESAMPLES), ("grid_size", _MIN_GRID)):
+            size = self._param(key)
             if size < floor:
                 raise ConfigError(f"params.{key} must be at least {floor}, got {size}")
 
-    def _param(self, key, default):
-        return float(self.params.get(key, default))
+    def _param(self, key):
+        """params[key], or its default when absent, cast to the default's type."""
+        default = _PARAM_DEFAULTS[key]
+        try:
+            return type(default)(self.params.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"params.{key} must be a number") from exc
 
     @property
     def data_shape(self) -> str:
@@ -201,10 +200,9 @@ class CdGenerator:
         The two normal-mean models draw alike, so they share a family.
         """
         if self.model in ("normal-mean-known-sigma", "normal-mean-unknown-sigma"):
-            return ("normal-mean", self.n, self.theta0, self.master_seed,
-                    self._param("sigma", 1.0))
+            return ("normal-mean", self.n, self.theta0, self.master_seed, self._param("sigma"))
         if self.model == "normal-variance":
-            return (self.model, self.n, self.theta0, self.master_seed, self._param("mean", 0.0))
+            return (self.model, self.n, self.theta0, self.master_seed, self._param("mean"))
         return (self.model, self.n, self.theta0, self.master_seed)
 
     def draw_data(self, index: int) -> np.ndarray:
@@ -227,7 +225,7 @@ class CdGenerator:
             return self._bootstrap_cd(data, index)
         if self.constructor == "likelihood":
             return self._likelihood_cd(data)
-        sigma = self._param("sigma", 1.0)
+        sigma = self._param("sigma")
         if self.constructor == "pivot":
             return _EXACT_CDS[self.model](data, sigma)
         centre, factor = _ASYMPTOTIC[self.constructor]
@@ -236,7 +234,7 @@ class CdGenerator:
 
     def _bootstrap_cd(self, data, index):
         sample = DataSample(data)
-        plan = ResamplePlan(int(self.params.get("B", 1000)), self.stream(index).child(1))
+        plan = ResamplePlan(self._param("B"), self.stream(index).child(1))
         if self.constructor == "hall-bootstrap":
             return hall_bootstrap_cd(sample, plan)
         if self.constructor == "bootstrap-t":
@@ -247,7 +245,7 @@ class CdGenerator:
         return reflected_bootstrap_cd(rep)
 
     def _likelihood_cd(self, data):
-        grid_size = int(self.params.get("grid_size", 256))
+        grid_size = self._param("grid_size")
         n = self.n
         if self.model == "exponential-rate":
             total = float(np.sum(data))
@@ -257,7 +255,7 @@ class CdGenerator:
             window = (max(est * (1.0 - half), est * 0.01), est * (1.0 + half))
             return likelihood_acd(loglik, window, grid_size, n=n, support=(1e-300, math.inf))
         xbar = float(np.mean(data))
-        sigma = self._param("sigma", 1.0)
+        sigma = self._param("sigma")
         loglik = lambda t, _eta: -n * np.square(t - xbar) / (2.0 * sigma ** 2)
         half = 14.0 * sigma / math.sqrt(n)
         return likelihood_acd(loglik, (xbar - half, xbar + half), grid_size, n=n)

@@ -87,6 +87,25 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             generator_from_config({"model": "exponential-rate"})
 
+    @pytest.mark.parametrize("model, constructor, theta0, defaults", [
+        ("normal-mean-known-sigma", "pivot", 0.5, {"sigma": 1.0}),
+        ("normal-mean-known-sigma", "likelihood", 0.5, {"sigma": 1.0, "grid_size": 256}),
+        ("normal-variance", "pivot", 2.0, {"mean": 0.0}),
+        ("normal-mean-unknown-sigma", "bootstrap-t", 0.5, {"B": 1000}),
+    ])
+    def test_spelled_out_defaults_equal_absent_params(self, model, constructor, theta0,
+                                                      defaults):
+        bare = CdGenerator(model, constructor, 30, theta0, 31)
+        spelled = CdGenerator(model, constructor, 30, theta0, 31, defaults)
+        assert spelled.draw_key == bare.draw_key
+        for i in range(3):
+            assert spelled.draw_data(i).tobytes() == bare.draw_data(i).tobytes()
+            u = [cd_eval(gen.replicate(i), np.array([theta0])) for gen in (bare, spelled)]
+            assert u[0].tobytes() == u[1].tobytes()
+        # the report config echoes params as given
+        assert generator_to_config(bare)["params"] == {}
+        assert generator_to_config(spelled)["params"] == defaults
+
     def test_data_is_deterministic_per_index(self):
         gen = CdGenerator("exponential-rate", "pivot", 15, 2.0, 7)
         assert np.array_equal(gen.draw_data(3), gen.draw_data(3))
