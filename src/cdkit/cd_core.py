@@ -29,8 +29,8 @@ chi-square scale, Fisher z, chi-square rate) and holds its parameters.  A
 row is a pivot with a density; ``family_cd`` binds it to the spec and keeps
 the spec as ``cd.family``.  A family CD's file is its spec line alone, so it
 reloads as the same CD.  A row is one numpy expression in its parameters,
-so the lab reads its replicates a block at a time, the parameters arrays
-over family CDs of one row and base law, with each CD's bytes.  A
+so ``family_block`` binds it to parameter arrays: one CD that the lab reads
+for a block of replicates at once, with each replicate's bytes.  A
 monotone transform of a CD composes its pivot's maps with g, so its tails
 stay as exact as the CD's.
 
@@ -65,6 +65,7 @@ __all__ = [
     "analytic_cd",
     "FamilySpec",
     "family_cd",
+    "family_block",
     "location_scale_cd",
     "grid_cd",
     "sample_cd",
@@ -107,7 +108,7 @@ class ConfidenceDistribution:
     atoms: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-    # the family spec, set only by family_cd (a block's is its tuple of specs); copies drop it
+    # the family spec, set only by family_cd (family_block's is the row's name); copies drop it
     family: Optional[FamilySpec] = field(default=None, init=False)
 
     def __repr__(self):  # the payload arrays and callables are noise in a log line
@@ -192,7 +193,7 @@ class _Row(NamedTuple):
 _FAMILIES = {
     "location-scale": _Row(
         "scale > 0, and df > 0 unless None",
-        lambda loc, scale, df: scale > 0.0 and (df is None or df > 0.0), _REAL_LINE,
+        lambda loc, scale, df: (scale > 0.0) & (df is None or df > 0.0), _REAL_LINE,
         base=lambda loc, scale, df: pk.Normal() if df is None else pk.StudentT(df),
         to_base=lambda x, loc, scale, df: (np.asarray(x, float) - loc) / scale,
         from_base=lambda q, loc, scale, df: loc + scale * q,
@@ -200,7 +201,7 @@ _FAMILIES = {
     # H(x) = P(chi2_df > scale_ssq / x)
     "inverse-chi2-scale": _Row(
         "df > 0 and scale_ssq > 0",
-        lambda df, scale_ssq: df > 0.0 and scale_ssq > 0.0, (0.0, math.inf),
+        lambda df, scale_ssq: (df > 0.0) & (scale_ssq > 0.0), (0.0, math.inf),
         base=lambda df, scale_ssq: pk.ChiSquare(df),
         to_base=lambda x, df, scale_ssq: scale_ssq / _positive(x),
         from_base=lambda q, df, scale_ssq: scale_ssq / q,
@@ -208,7 +209,7 @@ _FAMILIES = {
         side="upper"),
     "fisher-z": _Row(
         "|r| < 1 and n > 3",
-        lambda r, n: abs(r) < 1.0 and n > 3.0, (-1.0, 1.0),
+        lambda r, n: (abs(r) < 1.0) & (n > 3.0), (-1.0, 1.0),
         base=lambda r, n: pk.Normal(),
         # sqrt(n - 3) (atanh x - atanh r): standard normal at x = theta
         to_base=lambda x, r, n: np.sqrt(n - 3.0) * (
@@ -218,7 +219,7 @@ _FAMILIES = {
         / np.maximum(1.0 - np.asarray(x, float) ** 2, 1e-300)),
     "chi2-rate": _Row(
         "n > 0 and total > 0",
-        lambda n, total: n > 0.0 and total > 0.0, (0.0, math.inf),
+        lambda n, total: (n > 0.0) & (total > 0.0), (0.0, math.inf),
         base=lambda n, total: pk.ChiSquare(2.0 * n),
         to_base=lambda x, n, total: 2.0 * total * np.maximum(np.asarray(x, float), 0.0),
         from_base=lambda q, n, total: q / (2.0 * total),
@@ -245,12 +246,19 @@ def family_cd(spec: FamilySpec, meta=None) -> ConfidenceDistribution:
     return _bind(row, row.base(**p), p, spec, meta)
 
 
-def _family_block(cds) -> ConfidenceDistribution:
-    """CDs of one family row and base law as one CD, the row's parameters arrays over
-    them; cd_eval at [x] and cd_quantile at a column give each CD's bytes, a column each."""
-    specs = tuple(cd.family for cd in cds)
-    p = {key: np.array([s.params[key] for s in specs], dtype=float) for key in specs[0].params}
-    return _bind(_FAMILIES[specs[0].name], cds[0].base, p, specs)
+def family_block(name: str, params: Mapping, ok=True) -> tuple[ConfidenceDistribution, np.ndarray]:
+    """Many CDs of the family row ``name`` as one: (cd, kept).  Each parameter
+    is an array with an element per CD, or a scalar they share.  The CDs kept
+    are those where ok holds and the parameters pass the checks FamilySpec
+    raises on; cd_eval at [x] and cd_quantile at a column give each kept CD's
+    bytes, a column each.  ``cd.family`` is the row's name."""
+    row = _FAMILIES[name]
+    kept = ok & row.valid(**params)
+    for v in params.values():
+        if v is not None:
+            kept = kept & np.isfinite(v)
+    p = {key: v[kept] if np.ndim(v) else v for key, v in params.items()}
+    return _bind(row, row.base(**p), p, name), kept
 
 
 def location_scale_cd(base: pk.DistKind, loc: float, scale: float, *,

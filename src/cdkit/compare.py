@@ -10,8 +10,9 @@ the same dataset so the verdict reflects the construction, not the noise.
 Each statistic has one per-CD reader: ``sample_dispersion``, a risk
 functional built once per weight, and the tail-mass stack.  The risk and tail
 readers reduce H values, so a caller can read both off one ``cd_eval``.
-``mc_dispersion``, ``risk``, ``dominance_mc`` and ``paired_compare`` hand
-one replicate's read to simlab's ``run_replicates``, the one replicate loop.
+``mc_dispersion``, ``risk``, ``dominance_mc`` and ``paired_compare`` read
+each replicate of a block that simlab's ``run_replicates``, the one replicate
+loop, hands them.
 The paired passes share ``_paired_draw``: each generator's CD on generator
 1's data, plus, for ``paired_compare`` when the draw keys differ, generator
 2's CD on its own draws, as dispersion and risk describe a generator on its
@@ -175,7 +176,8 @@ def _check_reps(reps: int) -> None:
 
 def _each_replicate(one, reps: int) -> np.ndarray:
     """one(i) for i in range(reps) as one array, replicates along its first axis."""
-    return np.concatenate(run_replicates(one, range(reps), np.array))
+    return np.concatenate(run_replicates(lambda block: np.array([one(i) for i in block]),
+                                         range(reps)))
 
 
 def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
@@ -428,7 +430,8 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
                 sample_dispersion(own2, SquaredError, gen2.theta0),
                 risk1(h1[n_tail:]), risk2(h_own2))
 
-    blocks = run_replicates(one, range(reps), lambda rows: [np.array(c) for c in zip(*rows)])
+    blocks = run_replicates(lambda block: [np.array(c) for c in zip(*map(one, block))],
+                            range(reps))
     stacks, disp1, disp2, risks1, risks2 = (np.concatenate(parts) for parts in zip(*blocks))
     return PairedComparison(
         dominance=_dominance_report(theta0, eps_arr, stacks, reps),

@@ -31,7 +31,6 @@ from .cd_core import (
     _spot_check_monotone,
     _try_eval,
     family_cd,
-    location_scale_cd,
 )
 from .errors import (
     DegenerateSampleError,
@@ -48,6 +47,10 @@ __all__ = [
     "normal_variance_cd",
     "fisher_z_corr_cd",
     "exponential_rate_cd",
+    "normal_mean_rows",
+    "normal_variance_rows",
+    "fisher_z_rows",
+    "exponential_rate_rows",
     "hall_pivot",
     "hall_pivot_inverse",
 ]
@@ -121,7 +124,7 @@ class PairedSample:
 
     @property
     def correlation(self) -> float:
-        return float(np.corrcoef(self.pairs[:, 0], self.pairs[:, 1])[0, 1])
+        return float(_correlation(self.pairs))
 
 
 @dataclass(frozen=True)
@@ -152,42 +155,109 @@ def from_pivot(spec: PivotSpec, data, support=(-math.inf, math.inf)) -> Confiden
 
 # ---------------------------------------------------------------------------
 # named constructors
+#
+# Each model's parameters come from one function of its data's last axis, so
+# a (rows, n) block of samples (rows of pairs for the correlation) gives every
+# row's parameters at once, each row's bytes as the row alone gives them.  It
+# returns (family row name, parameters, mask of rows the one-row constructor
+# takes); a parameter the rows share is a scalar.  The named constructors call
+# it on one sample; the lab calls it on a block and binds the rows that pass
+# with ``cd_core.family_block``, which applies the checks FamilySpec raises on.
+
+def _samples(values):
+    """The rows DataSample takes: at least 2 values, all finite."""
+    return (values.shape[-1] >= 2) & np.all(np.isfinite(values), axis=-1)
+
+
+def normal_mean_rows(values, sigma: float | None = None):
+    """normal_mean_cd's location-scale parameters along values' last axis."""
+    n = values.shape[-1]
+    with np.errstate(all="ignore"):
+        mean = np.mean(values, axis=-1)
+        if sigma is not None:
+            params = {"loc": mean, "scale": sigma / math.sqrt(n), "df": None}
+            return "location-scale", params, _samples(values)
+        sd = np.std(values, axis=-1, ddof=1)
+        params = {"loc": mean, "scale": sd / math.sqrt(n), "df": float(n - 1)}
+    return "location-scale", params, _samples(values) & ~(sd <= 0.0)
+
+
+def normal_variance_rows(values):
+    """normal_variance_cd's inverse-chi2-scale parameters along values' last axis.
+    float_power is C's pow, as Python's float ** is; numpy's ** 2 is x * x and
+    rounds differently."""
+    df = float(values.shape[-1] - 1)
+    with np.errstate(all="ignore"):
+        sd = np.std(values, axis=-1, ddof=1)
+        params = {"df": df, "scale_ssq": df * np.float_power(sd, 2.0)}
+    return "inverse-chi2-scale", params, _samples(values) & ~(sd <= 0.0)
+
+
+def _correlation(pairs):
+    """np.corrcoef's r along the last two axes of pairs (..., n, 2), in its arithmetic:
+    centred marginals, their Gram matrix over n - 1, then r = c01 / sd0 / sd1."""
+    x = np.swapaxes(pairs, -1, -2).copy()  # (..., 2, n): each marginal contiguous
+    x -= np.mean(x, axis=-1, keepdims=True)
+    c = x @ np.swapaxes(x, -1, -2)
+    c *= np.true_divide(1, pairs.shape[-2] - 1)
+    sd = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
+    return np.clip(c[..., 0, 1] / sd[..., 0] / sd[..., 1], -1.0, 1.0)
+
+
+def fisher_z_rows(pairs):
+    """fisher_z_corr_cd's fisher-z parameters along the last two axes of pairs (..., n, 2)."""
+    n = pairs.shape[-2]
+    with np.errstate(all="ignore"):
+        r = _correlation(pairs)
+        # PairedSample's checks, then the pivot's
+        varies = np.all(np.std(np.swapaxes(pairs, -1, -2), axis=-1) != 0.0, axis=-1)
+        ok = (n >= 4) & np.all(np.isfinite(pairs), axis=(-2, -1)) & varies & ~(abs(r) >= 1.0)
+    return "fisher-z", {"r": r, "n": n}, ok
+
+
+def exponential_rate_rows(values):
+    """exponential_rate_cd's chi2-rate parameters along values' last axis."""
+    with np.errstate(all="ignore"):
+        total = np.sum(values, axis=-1)
+    return ("chi2-rate", {"n": values.shape[-1], "total": total},
+            _samples(values) & ~np.any(values <= 0.0, axis=-1))
+
+
+def _one_cd(rows, error):
+    """The family CD of one sample's (name, parameters, ok), or error raised if not ok."""
+    name, params, ok = rows
+    if not ok:
+        raise error
+    return family_cd(FamilySpec(name, {k: v.item() if isinstance(v, np.generic) else v
+                                       for k, v in params.items()}))
+
 
 def normal_mean_cd(data: DataSample, sigma: float | None = None) -> ConfidenceDistribution:
     """CD for a normal mean: exact normal pivot when sigma is known, exact
     t pivot on n-1 degrees of freedom when it is not."""
-    if sigma is not None:
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ParameterDomainError("sigma must be a positive real (or None for unknown)")
-        return location_scale_cd(pk.Normal(), data.mean, sigma / math.sqrt(data.n))
-    if data.sd <= 0.0:
-        raise DegenerateSampleError("constant sample: the t pivot needs a positive sd")
-    return location_scale_cd(pk.StudentT(data.n - 1), data.mean, data.sd / math.sqrt(data.n))
+    if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ParameterDomainError("sigma must be a positive real (or None for unknown)")
+    return _one_cd(normal_mean_rows(data.values, sigma),
+                   DegenerateSampleError("constant sample: the t pivot needs a positive sd"))
 
 
 def normal_variance_cd(data: DataSample) -> ConfidenceDistribution:
     """CD for a normal variance: H(x) = P(chi2_{n-1} >= (n-1) s_n^2 / x)."""
-    if data.sd <= 0.0:
-        raise DegenerateSampleError("constant sample: the variance pivot degenerates")
-    df = float(data.n - 1)
-    return family_cd(FamilySpec("inverse-chi2-scale", {"df": df, "scale_ssq": df * data.sd ** 2}))
+    return _one_cd(normal_variance_rows(data.values),
+                   DegenerateSampleError("constant sample: the variance pivot degenerates"))
 
 
 def fisher_z_corr_cd(pairs: PairedSample) -> ConfidenceDistribution:
     """CD for a bivariate-normal correlation via the variance-stabilizing
     z transform: H(x) = Phi(sqrt(n-3) (atanh x - atanh r))."""
-    r = pairs.correlation
-    if abs(r) >= 1.0:
-        raise DegenerateSampleError("|r| = 1: the z pivot degenerates")
-    # PairedSample holds n >= 4 pairs
-    return family_cd(FamilySpec("fisher-z", {"r": r, "n": pairs.n}))
+    return _one_cd(fisher_z_rows(pairs.pairs),
+                   DegenerateSampleError("|r| = 1: the z pivot degenerates"))
 
 
 def exponential_rate_cd(data: DataSample) -> ConfidenceDistribution:
     """CD for an exponential rate via the exact pivot 2 theta sum(x) ~ chi2_{2n}."""
-    if np.any(data.values <= 0.0):
-        raise ParameterDomainError("exponential observations must be positive")
-    return family_cd(FamilySpec("chi2-rate", {"n": data.n, "total": float(np.sum(data.values))}))
+    return _one_cd(exponential_rate_rows(data.values),
+                   ParameterDomainError("exponential observations must be positive"))
 
 
 # ---------------------------------------------------------------------------

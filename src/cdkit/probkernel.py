@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -22,6 +23,8 @@ from .errors import OptimizationFailureError, ParameterDomainError
 
 __all__ = [
     "RngStream",
+    "stream_words",
+    "pcg64_generator",
     "Normal",
     "StudentT",
     "ChiSquare",
@@ -65,15 +68,151 @@ class RngStream:
             raise ParameterDomainError("lineage indices must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=int(self.master_seed),
-            spawn_key=(int(self.stream_index), *map(int, self.lineage)),
-        )
-        return np.random.Generator(np.random.PCG64(ss))
+        words = stream_words(self.master_seed, (self.stream_index,), self.lineage)[0]
+        return pcg64_generator(words)
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent sub-stream; children of distinct indices never collide."""
         return RngStream(self.master_seed, self.stream_index, (*self.lineage, int(index)))
+
+
+# numpy's SeedSequence, restated on Python ints (numpy/random/bit_generator.pyx):
+# the seed's words fill a pool of four 32-bit words, the spawn key's words mix
+# into it, and the pool hashes out the state words.  Each hash step multiplies
+# its constant on, whatever the word, so the constants are fixed sequences.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool's hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the output's hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(n: int) -> list[int]:
+    """A nonnegative int's 32-bit words, least significant first; [0] for 0."""
+    if n < 0:
+        raise ParameterDomainError("stream addresses must be nonnegative integers")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hash_steps(h: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(constant before, constant after) for count hash steps from constant h."""
+    steps = []
+    for _ in range(count):
+        steps.append((h, h * mult & _M32))
+        h = steps[-1][1]
+    return steps
+
+
+def _hashmix(value: int, step: tuple[int, int]) -> int:
+    value = (value ^ step[0]) * step[1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=256)
+def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool once the seed's words are in, and the pool hash's next constant.
+    With a spawn key, numpy pads the seed to four words."""
+    entropy = _words32(master_seed)
+    entropy += [0] * (4 - len(entropy))
+    steps = _hash_steps(_INIT_A, _MULT_A, 4 * len(entropy))
+    step = iter(steps)
+    pool = [_hashmix(e, next(step)) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(step)))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(e, next(step)))
+    return tuple(pool), steps[-1][1]
+
+
+@lru_cache(maxsize=256)
+def _key_steps(h: int, n_index: int, tail: tuple[int, ...]) -> tuple:
+    """The pool hash's steps for n_index index words, four to a word, from constant
+    h; and the hashes of the lineage words that follow them, times _MIX_R.  The
+    lineage's hashes are the same for every index, so only its mixing is left."""
+    steps = _hash_steps(h, _MULT_A, 4 * (n_index + len(tail)))
+    index = tuple(tuple(steps[4 * k:4 * k + 4]) for k in range(n_index))
+    mixes = tuple(tuple(_MIX_R * _hashmix(e, step) for step in steps[4 * k:4 * k + 4])
+                  for k, e in enumerate(tail, start=n_index))
+    return index, mixes
+
+
+_OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)
+
+
+def stream_words(master_seed: int, indices, lineage=()) -> list[tuple[int, int, int, int]]:
+    """The PCG64 seed words of the streams (master_seed, i, *lineage) for i in indices.
+
+    Each is ``np.random.SeedSequence(master_seed, spawn_key=(i, *lineage))
+    .generate_state(4, np.uint64)``, as Python ints, for seeds and indices of
+    any size.  The seed's part of the pool is computed once per seed; the
+    spawn key mixes in per index, on Python ints, which beat numpy's uint32
+    arrays by far on one stream."""
+    pool, h = _seed_pool(int(master_seed))
+    tail = tuple(w for k in lineage for w in _words32(int(k)))
+    out = []
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7) = _OUT_STEPS
+    for i in indices:
+        i = int(i)
+        key = (i,) if 0 <= i <= _M32 else _words32(i)
+        index_steps, tail_mixes = _key_steps(h, len(key), tail)
+        p0, p1, p2, p3 = pool
+        # _mix(p, _hashmix(e, step)) into each pool word, written out: this loop is the cost
+        for e, ((c0, d0), (c1, d1), (c2, d2), (c3, d3)) in zip(key, index_steps):
+            v = (e ^ c0) * d0 & _M32
+            r = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _M32
+            p0 = r ^ r >> 16
+            v = (e ^ c1) * d1 & _M32
+            r = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _M32
+            p1 = r ^ r >> 16
+            v = (e ^ c2) * d2 & _M32
+            r = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _M32
+            p2 = r ^ r >> 16
+            v = (e ^ c3) * d3 & _M32
+            r = (_MIX_L * p3 - _MIX_R * (v ^ v >> 16)) & _M32
+            p3 = r ^ r >> 16
+        for m0, m1, m2, m3 in tail_mixes:
+            r = (_MIX_L * p0 - m0) & _M32
+            p0 = r ^ r >> 16
+            r = (_MIX_L * p1 - m1) & _M32
+            p1 = r ^ r >> 16
+            r = (_MIX_L * p2 - m2) & _M32
+            p2 = r ^ r >> 16
+            r = (_MIX_L * p3 - m3) & _M32
+            p3 = r ^ r >> 16
+        # the state words cycle through the pool twice; pairs of them make each uint64
+        w0, w1 = (p0 ^ a0) * b0 & _M32, (p1 ^ a1) * b1 & _M32
+        w2, w3 = (p2 ^ a2) * b2 & _M32, (p3 ^ a3) * b3 & _M32
+        w4, w5 = (p0 ^ a4) * b4 & _M32, (p1 ^ a5) * b5 & _M32
+        w6, w7 = (p2 ^ a6) * b6 & _M32, (p3 ^ a7) * b7 & _M32
+        out.append((w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
+                    w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32, w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32))
+    return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Seed words that PCG64 takes as its seed sequence's state."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64)
+
+
+def pcg64_generator(words) -> np.random.Generator:
+    """A fresh Generator on the PCG64 stream that ``stream_words`` gave words for."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 # ---------------------------------------------------------------------------

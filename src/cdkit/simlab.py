@@ -5,7 +5,11 @@ construction recipe.  Replicate i draws data from the sub-stream
 (master_seed, i, 0) and hands resampling randomness the sub-stream
 (master_seed, i, 1), so every replicate is a pure function of the config and
 its index: reports are bit-for-bit reproducible at any worker count.
-``run_replicates`` is the one loop over replicates, for calibrate and compare.
+``run_replicates`` is the one loop over replicates, for calibrate and compare;
+it hands out blocks of replicate indices.  calibrate draws a block of a pivot
+or normal-approximation recipe as one (block, n) array and binds its CDs as
+one family CD over parameter arrays; every other recipe builds a CD per
+replicate.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from .bootstrap import (
 )
 from .cd_core import (
     ConfidenceDistribution,
-    _family_block,
     _interval_probs,
     cd_eval,
     cd_quantile,
+    family_block,
     location_scale_cd,
     sample_cd,
     write_table,
@@ -47,9 +51,13 @@ from .constructors import (
     DataSample,
     PairedSample,
     exponential_rate_cd,
+    exponential_rate_rows,
     fisher_z_corr_cd,
+    fisher_z_rows,
     normal_mean_cd,
+    normal_mean_rows,
     normal_variance_cd,
+    normal_variance_rows,
 )
 from .errors import CdkitError, ConfigError, InsufficientDataError, ParameterDomainError
 from .likelihood import _MIN_GRID, likelihood_acd
@@ -68,7 +76,7 @@ __all__ = [
 ]
 
 _DEFAULT_LEVELS = (0.5, 0.9, 0.95, 0.99)
-_REPLICATE_BLOCK = 256  # run_replicates hands reduce this many replicates at a time
+_REPLICATE_BLOCK = 256  # run_replicates hands out this many replicate indices at a time
 
 # which construction recipes make sense for which data model
 _SUPPORTED = {
@@ -100,6 +108,14 @@ _EXACT_CDS = {
     "bivariate-normal-correlation": lambda data, _sigma: fisher_z_corr_cd(PairedSample(data)),
     "exponential-rate": lambda data, _sigma: exponential_rate_cd(DataSample(data)),
 }
+# model -> its exact CD's (family row, parameters, rows kept) along the data's last axis
+_EXACT_ROWS = {
+    "normal-mean-known-sigma": normal_mean_rows,
+    "normal-mean-unknown-sigma": lambda data, _sigma: normal_mean_rows(data),
+    "normal-variance": lambda data, _sigma: normal_variance_rows(data),
+    "bivariate-normal-correlation": lambda data, _sigma: fisher_z_rows(data),
+    "exponential-rate": lambda data, _sigma: exponential_rate_rows(data),
+}
 # known-sigma normal approximations: (centre of the data, factor on sigma / sqrt(n))
 _ASYMPTOTIC = {
     "asymptotic-mean": (np.mean, 1.0),
@@ -108,23 +124,24 @@ _ASYMPTOTIC = {
 }
 
 
-def run_replicates(one, indices, reduce) -> list:
-    """[reduce([one(i) for i in block]) for each block of indices], in index order.
+def run_replicates(block_fn, indices) -> list:
+    """[block_fn(block) for each block of ``_REPLICATE_BLOCK`` indices], in index order.
 
-    CDKIT_THREADS > 1 maps one over each block of ``_REPLICATE_BLOCK`` on one
-    thread pool of at most os.cpu_count() workers.  one(i) must be a pure
-    function of i, so the result is identical either way.  one handles its own
-    failures: an exception it lets out ends the run, the lowest index's first.
+    CDKIT_THREADS > 1 maps block_fn over the blocks on one thread pool of at
+    most os.cpu_count() workers, and never more workers than blocks.
+    block_fn(block) must be a pure function of its indices, so the result is
+    identical either way.  It handles its own failures: an exception it lets
+    out ends the run, the lowest block's first.
     """
+    blocks = [indices[start:start + _REPLICATE_BLOCK]
+              for start in range(0, len(indices), _REPLICATE_BLOCK)]
     try:
         workers = min(int(os.environ.get("CDKIT_THREADS", "1")), os.cpu_count() or 1,
-                      len(indices))
+                      len(blocks))
     except ValueError:
         workers = 1
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        walk = map if pool is None else pool.map
-        return [reduce(list(walk(one, indices[start:start + _REPLICATE_BLOCK])))
-                for start in range(0, len(indices), _REPLICATE_BLOCK)]
+        return list((map if pool is None else pool.map)(block_fn, blocks))
 
 
 @dataclass(frozen=True)
@@ -195,7 +212,7 @@ class CdGenerator:
 
     @property
     def draw_key(self) -> tuple:
-        """Everything draw_data reads: generators with equal keys draw equal data.
+        """Everything draw_block reads: generators with equal keys draw equal data.
 
         The two normal-mean models draw alike, so they share a family.
         """
@@ -205,18 +222,45 @@ class CdGenerator:
             return (self.model, self.n, self.theta0, self.master_seed, self._param("mean"))
         return (self.model, self.n, self.theta0, self.master_seed)
 
-    def draw_data(self, index: int) -> np.ndarray:
-        family, n, theta0, _seed, *extra = self.draw_key
-        rng = self.stream(index).child(0).generator()
+    def draw_block(self, indices) -> np.ndarray:
+        """The data of replicates indices, a row each: (len(indices), n), or
+        (len(indices), n, 2) for paired data.  Row i is drawn from the stream
+        (master_seed, i, 0)."""
+        family, n, theta0, seed, *extra = self.draw_key
+        rngs = map(pk.pcg64_generator, pk.stream_words(seed, indices, (0,)))
         if family == "normal-mean":
-            return rng.normal(theta0, extra[0], size=n)
+            return np.array([rng.normal(theta0, extra[0], size=n) for rng in rngs])
         if family == "normal-variance":
-            return rng.normal(extra[0], math.sqrt(theta0), size=n)
+            return np.array([rng.normal(extra[0], math.sqrt(theta0), size=n) for rng in rngs])
         if family == "exponential-rate":
-            return rng.exponential(1.0 / theta0, size=n)
+            return np.array([rng.exponential(1.0 / theta0, size=n) for rng in rngs])
         rho = theta0
-        z = rng.normal(0.0, 1.0, size=(n, 2))
-        return np.column_stack([z[:, 0], rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]])
+        z = np.array([rng.normal(0.0, 1.0, size=(n, 2)) for rng in rngs])
+        return np.stack([z[..., 0], rho * z[..., 0] + math.sqrt(1.0 - rho * rho) * z[..., 1]],
+                        axis=-1)
+
+    def draw_data(self, index: int) -> np.ndarray:
+        return self.draw_block((index,))[0]
+
+    @property
+    def block_born(self) -> bool:
+        """Whether calibrate builds this recipe's CDs a block at a time, by family_rows."""
+        return self.constructor == "pivot" or self.constructor in _ASYMPTOTIC
+
+    def family_rows(self, data: np.ndarray) -> tuple:
+        """(family row, parameters, rows kept) of a block_born recipe's CDs, one per
+        row of data, as ``cd_core.family_block`` takes them."""
+        if self.constructor == "pivot":
+            return _EXACT_ROWS[self.model](data, self._param("sigma"))
+        loc, scale = self._normal_approx(data)
+        return "location-scale", {"loc": loc, "scale": scale, "df": None}, True
+
+    def _normal_approx(self, data):
+        """A known-sigma normal approximation's (loc, scale) along data's last axis."""
+        centre, factor = _ASYMPTOTIC[self.constructor]
+        with np.errstate(all="ignore"):  # a centre that overflows fails as a spec, not a warning
+            loc = centre(data, axis=-1)
+        return loc, self._param("sigma") / math.sqrt(self.n) * factor
 
     def build_cd(self, data: np.ndarray, index: int) -> ConfidenceDistribution:
         if self.constructor == "point-mass":
@@ -225,12 +269,10 @@ class CdGenerator:
             return self._bootstrap_cd(data, index)
         if self.constructor == "likelihood":
             return self._likelihood_cd(data)
-        sigma = self._param("sigma")
         if self.constructor == "pivot":
-            return _EXACT_CDS[self.model](data, sigma)
-        centre, factor = _ASYMPTOTIC[self.constructor]
-        scale = sigma / math.sqrt(self.n)
-        return location_scale_cd(pk.Normal(0.0, 1.0), float(centre(data)), scale * factor)
+            return _EXACT_CDS[self.model](data, self._param("sigma"))
+        loc, scale = self._normal_approx(data)
+        return location_scale_cd(pk.Normal(0.0, 1.0), float(loc), scale)
 
     def _bootstrap_cd(self, data, index):
         sample = DataSample(data)
@@ -307,33 +349,37 @@ def _replicate_summary(gen: CdGenerator, index: int):
         return None
 
 
-def _read_block(built, theta0, levels):
-    """(u-values, (k, B) interval hits, medians at or below theta0) of built's CDs."""
-    cds = [cd for cd in built if cd is not None]
-    groups = {}  # a row and base law's family CDs are read together, any other CD alone
-    for j, cd in enumerate(cds):
-        groups.setdefault(j if cd.family is None else (cd.family.name, cd.base), []).append(j)
+def _read_block(gen: CdGenerator, levels, block):
+    """(u-values, (k, m) interval hits, medians at or below theta0) of the m
+    replicates of block whose CDs build.
+
+    A block_born recipe's block is one family CD over the rows that pass its
+    checks, read by one cd_eval and one cd_quantile; any other recipe's CDs
+    are built and read one replicate at a time, and one whose build raises a
+    CdkitError is dropped."""
+    if gen.block_born:
+        cds = [family_block(*gen.family_rows(gen.draw_block(block)))[0]]
+    else:
+        cds = [cd for cd in map(partial(_replicate_summary, gen), block) if cd is not None]
     k = len(levels)  # read at the k lower interval ends, the k upper ends, then 0.5
     probs = np.array([_interval_probs(lv)[i] for i in (0, 1) for lv in levels] + [0.5])
-    u, q = np.empty(len(cds)), np.empty((2 * k + 1, len(cds)))
-    for key, idx in groups.items():
-        cd = cds[key] if isinstance(key, int) else _family_block([cds[j] for j in idx])
-        u[idx], q[:, idx] = cd_eval(cd, np.array([theta0])), cd_quantile(cd, probs[:, None])
+    theta0 = gen.theta0
+    u = np.concatenate([np.empty(0)] + [cd_eval(cd, np.array([theta0])) for cd in cds])
+    q = np.concatenate([np.empty((2 * k + 1, 0))] + [cd_quantile(cd, probs[:, None])
+                                                     for cd in cds], axis=1)
     return u, (q[:k] <= theta0) & (theta0 <= q[k:2 * k]), q[-1] <= theta0
 
 
 def calibrate(gen: CdGenerator, reps: int, levels=_DEFAULT_LEVELS) -> CalibrationReport:
     """reps seeded (data, CD) draws, u-values, KS, coverage, median check.
 
-    Each CD is built alone, a pure function of its index, and dropped and
-    counted if its build raises a CdkitError.  ``_read_block`` reads a block
-    of them, a family row's by one cd_eval and one cd_quantile."""
+    Each CD is a pure function of its index.  ``_read_block`` reads a block of
+    them; a replicate whose CD does not build is dropped and counted."""
     if reps < 100:
         raise ConfigError("calibration needs reps >= 100")
     if not all(0.0 < lv < 1.0 for lv in levels):
         raise ConfigError(f"levels must lie in (0, 1), got {list(levels)}")
-    reads = run_replicates(partial(_replicate_summary, gen), range(reps),
-                           partial(_read_block, theta0=gen.theta0, levels=levels))
+    reads = run_replicates(partial(_read_block, gen, levels), range(reps))
     u_arr, hits, below = (np.concatenate(parts, axis=-1) for parts in zip(*reads))
     m = u_arr.size
     if m < 10:

@@ -389,10 +389,11 @@ class TestCalibrate:
     ])
     def test_bad_config_fails_before_any_replicate(self, capsys, tmp_path, monkeypatch,
                                                    overrides, key):
+        # every draw, of a block or of one replicate, goes through draw_block
         draws = []
-        draw = CdGenerator.draw_data
-        monkeypatch.setattr(CdGenerator, "draw_data",
-                            lambda gen, i: draws.append(i) or draw(gen, i))
+        draw = CdGenerator.draw_block
+        monkeypatch.setattr(CdGenerator, "draw_block",
+                            lambda gen, indices: draws.append(indices) or draw(gen, indices))
         code, stdout, err = _run(capsys, ["calibrate", "--config",
                                           self._config(tmp_path, **overrides)])
         assert (code, stdout, draws) == (2, "", [])

@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from cdkit.errors import ParameterDomainError
@@ -23,7 +25,9 @@ from cdkit.probkernel import (
     density,
     log_tail,
     maximize,
+    pcg64_generator,
     quantile,
+    stream_words,
 )
 
 
@@ -359,6 +363,34 @@ def test_stream_validation():
         RngStream(-1, 0)
     with pytest.raises(ParameterDomainError):
         RngStream(1, -2)
+    with pytest.raises(ParameterDomainError):
+        stream_words(1, [3, -1])
+
+
+def _numpy_generator(seed, key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+# stream_words restates numpy's SeedSequence; if numpy's seeding ever changes,
+# these fail rather than every stream quietly moving
+@given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 128 - 1),
+                      st.integers(2 ** 128, 2 ** 200)),
+       start=st.one_of(st.integers(0, 2 ** 20), st.integers(2 ** 32 - 300, 2 ** 32 + 300),
+                       st.integers(2 ** 32, 2 ** 80)),
+       lineage=st.sampled_from([(), (0,), (1,), (3, 2 ** 33)]),
+       size=st.sampled_from([1, 255, 256, 257]))
+def test_stream_words_are_numpys_seed_sequence_state(seed, start, lineage, size):
+    indices = range(start, start + size)
+    words = stream_words(seed, indices, lineage)
+    assert len(words) == size
+    for i, w in zip(indices, words):
+        want = np.random.SeedSequence(seed, spawn_key=(i, *lineage)).generate_state(4, np.uint64)
+        assert w == tuple(int(v) for v in want)
+    for k in (0, size - 1):  # the first draws, through both generators
+        want = _numpy_generator(seed, (start + k, *lineage)).normal(size=8)
+        assert pcg64_generator(words[k]).normal(size=8).tobytes() == want.tobytes()
+        stream = RngStream(seed, start + k, lineage).generator()
+        assert stream.normal(size=8).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,21 @@ from scipy.stats import kstest
 from cdkit import simlab
 from cdkit.cd_core import (
     FamilySpec,
-    _family_block,
     _interval_probs,
     cd_eval,
     cd_quantile,
+    family_block,
     family_cd,
 )
 from cdkit.errors import (
+    CdkitError,
     ConfigError,
-    DegenerateSampleError,
     InsufficientDataError,
     ParameterDomainError,
 )
 from cdkit.inference import cd_mean, cd_median, cd_mode
 from cdkit.simlab import (
     _REPLICATE_BLOCK,
-    _read_block,
     CdGenerator,
     calibrate,
     coverage,
@@ -283,28 +282,31 @@ class TestDeterminism:
 
     def test_replicates_reach_reduce_in_blocks_in_order(self, monkeypatch):
         monkeypatch.setenv("CDKIT_THREADS", "2")
-        blocks = run_replicates(lambda i: i * i, range(300), tuple)
-        assert [len(b) for b in blocks] == [_REPLICATE_BLOCK, 44] == [256, 44]
-        assert [v for b in blocks for v in b] == [i * i for i in range(300)]
+        blocks = run_replicates(lambda block: [i * i for i in block], range(600))
+        assert [len(b) for b in blocks] == [_REPLICATE_BLOCK, _REPLICATE_BLOCK, 88] \
+            == [256, 256, 88]
+        assert [v for b in blocks for v in b] == [i * i for i in range(600)]
 
     def test_bad_thread_env_falls_back_to_serial(self, monkeypatch):
         pools = self._record_pools(monkeypatch, 2)
         monkeypatch.setenv("CDKIT_THREADS", "many")
-        assert run_replicates(lambda i: i, range(5), list) == [[0, 1, 2, 3, 4]]
+        assert run_replicates(list, range(5)) == [[0, 1, 2, 3, 4]]
         assert pools == []
 
     @pytest.mark.parametrize("threads, cpus, count, pools", [
-        ("64", 2, 300, [2]),    # capped at the CPU count
-        ("64", None, 300, []),  # an unknown CPU count runs serially
-        ("2", 8, 300, [2]),
-        ("8", 8, 3, [3]),       # never more workers than indices
-        ("1", 8, 300, []),
+        ("64", 2, 900, [2]),    # capped at the CPU count
+        ("64", None, 900, []),  # an unknown CPU count runs serially
+        ("2", 8, 900, [2]),
+        ("8", 8, 900, [4]),     # never more workers than blocks
+        ("8", 8, 300, [2]),
+        ("8", 8, 3, []),        # one block runs serially
+        ("1", 8, 900, []),
     ])
     def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, threads, cpus, count,
                                                   pools):
         made = self._record_pools(monkeypatch, cpus)
         monkeypatch.setenv("CDKIT_THREADS", threads)
-        blocks = run_replicates(lambda i: -i, range(count), list)
+        blocks = run_replicates(lambda block: [-i for i in block], range(count))
         assert [v for b in blocks for v in b] == [-i for i in range(count)]
         assert made == pools
 
@@ -329,11 +331,16 @@ class TestConsistency:
 
 
 # ---------------------------------------------------------------------------
-# block reads: calibrate reads a block of replicate CDs together
+# block reads: calibrate draws and binds a block of pivot or normal-approximation
+# replicates at once
 
 _PIVOTS = [("normal-mean-known-sigma", 0.7), ("normal-mean-unknown-sigma", -1.2),
            ("normal-variance", 2.5), ("bivariate-normal-correlation", 0.6),
            ("exponential-rate", 1.7)]
+# every recipe calibrate builds a block at a time
+_BLOCK_BORN = [(model, "pivot", theta0) for model, theta0 in _PIVOTS] + [
+    ("normal-mean-known-sigma", c, 0.7)
+    for c in ("asymptotic-mean", "asymptotic-median", "mis-scaled-pivot")]
 _LEVELS = (0.5, 0.9, 0.95, 0.99)
 _PROBS = np.array([_interval_probs(lv)[0] for lv in _LEVELS]
                   + [_interval_probs(lv)[1] for lv in _LEVELS] + [0.5])
@@ -359,17 +366,56 @@ def _one_at_a_time(gen, skip=()):
     return (np.array([row[0] for row in rows]), freqs, sum(row[2] for row in rows) / m)
 
 
+def _builds(gen, data, index):
+    """Whether the one-row build of data raises no CdkitError."""
+    try:
+        gen.build_cd(data, index)
+    except CdkitError:
+        return False
+    return True
+
+
+def _bad_rows(gen, data):
+    """data with rows 1 to 7 replaced by samples that a constructor may refuse."""
+    data = data.copy()
+    n = data.shape[1]
+    if gen.data_shape == "paired":
+        # |r| = 1 or near it, then a constant marginal
+        for j, line in enumerate((lambda x: x, lambda x: -x, lambda x: 3.0 * x + 1.0,
+                                  lambda x: np.full(n, 2.0)), start=1):
+            data[j, :, 1] = line(data[j, :, 0])
+        data[5, 2, 0], data[6, 0, 1] = math.nan, -math.inf
+        data[7] *= 1e-300  # the marginals' variances underflow
+    else:
+        data[1] = 1.5  # a constant sample
+        data[2, 0], data[3, -1] = math.nan, math.inf
+        data[4, 1], data[5, 0] = 0.0, -1e-3  # non-positive exponential draws
+        data[6] = 1e308  # the mean and the sum overflow
+        data[7] *= 1e-300
+    return data
+
+
 class TestBlockRead:
-    @pytest.mark.parametrize("model, theta0", _PIVOTS)
-    def test_block_cd_reads_each_cd_bit_for_bit(self, model, theta0):
-        gen = CdGenerator(model, "pivot", 12, theta0, 2024)
-        cds = [gen.replicate(i) for i in range(_REPLICATE_BLOCK + 3)]
-        block = _family_block(cds)
-        u = cd_eval(block, np.array([theta0]))
-        q = cd_quantile(block, _PROBS[:, None])
-        assert u.tobytes() == np.array([cd_eval(cd, theta0) for cd in cds]).tobytes()
-        want = np.column_stack([cd_quantile(cd, _PROBS) for cd in cds])
-        assert q.shape == want.shape and q.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("model, constructor, theta0", _BLOCK_BORN)
+    @pytest.mark.parametrize("n", [2, 3, 17, 64, 65, 100, 1000])
+    def test_block_reads_each_one_row_cd_bit_for_bit(self, model, constructor, theta0, n):
+        # one formula: a block of rows binds the CDs that the public constructors
+        # build from each row alone, byte for byte
+        if model == "bivariate-normal-correlation" and n < 4:
+            n += 2  # the correlation model needs n >= 4
+        gen = CdGenerator(model, constructor, n, theta0, 911, {"sigma": 1.3}
+                          if model.endswith("known-sigma") else {})
+        count = 40 if n == 1000 else 260
+        data = gen.draw_block(range(count))
+        cd, kept = family_block(*gen.family_rows(data))
+        assert kept.all()
+        u = cd_eval(cd, np.array([theta0]))
+        q = cd_quantile(cd, _PROBS[:, None])
+        for i in range(count):
+            assert data[i].tobytes() == gen.draw_data(i).tobytes()
+            one = gen.build_cd(data[i], i)
+            assert u[i].tobytes() == cd_eval(one, np.array([theta0])).tobytes()
+            assert q[:, i].tobytes() == cd_quantile(one, _PROBS).tobytes()
 
     @pytest.mark.parametrize("r", [0.999999, -0.999999, 0.5, 0.3])
     def test_fisher_z_block_keeps_math_atanh(self, r):
@@ -377,62 +423,100 @@ class TestBlockRead:
         # arrays alike
         specs = [FamilySpec("fisher-z", {"r": v, "n": 40}) for v in (r, 0.1, r, -0.7)]
         cds = [family_cd(spec) for spec in specs]
-        block = _family_block(cds)
+        r_of = np.array([spec.params["r"] for spec in specs])
+        block, kept = family_block("fisher-z", {"r": r_of, "n": 40})
+        assert kept.all()
         for x in (r, 0.2, math.nextafter(r, 0.0)):
             assert cd_eval(block, np.array([x])).tobytes() == np.array(
                 [cd_eval(cd, x) for cd in cds]).tobytes()
         want = np.column_stack([cd_quantile(cd, _PROBS) for cd in cds])
         assert cd_quantile(block, _PROBS[:, None]).tobytes() == want.tobytes()
         # and each CD reads tanh(arctanh(r) + q / sqrt(n - 3)) in numpy, n = 40
-        r_of = np.array([spec.params["r"] for spec in specs])
         formula = np.tanh(np.arctanh(r_of) + ndtri(_PROBS)[:, None] / np.sqrt(40.0 - 3.0))
         assert want.tobytes() == formula.tobytes()
 
-    @pytest.mark.parametrize("model, theta0", _PIVOTS)
-    def test_calibrate_equals_one_cd_at_a_time(self, model, theta0):
-        gen = CdGenerator(model, "pivot", 15, theta0, 736)
+    def test_family_block_keeps_the_rows_a_spec_takes(self):
+        loc = np.array([0.0, math.nan, 1.0, math.inf, 2.0, 3.0])
+        scale = np.array([1.0, 1.0, 0.0, 1.0, 2.0, 0.5])
+        ok = np.array([True, True, True, True, False, True])
+        cd, kept = family_block("location-scale", {"loc": loc, "scale": scale, "df": 3.0}, ok)
+        assert kept.tolist() == [True, False, False, False, False, True]
+        specs = []
+        for j in np.flatnonzero(ok):
+            params = {"loc": float(loc[j]), "scale": float(scale[j]), "df": 3.0}
+            if kept[j]:
+                specs.append(FamilySpec("location-scale", params))
+            else:
+                with pytest.raises(ParameterDomainError):
+                    FamilySpec("location-scale", params)
+        assert cd_eval(cd, np.array([0.7])).tobytes() == np.array(
+            [cd_eval(family_cd(spec), 0.7) for spec in specs]).tobytes()
+
+    @pytest.mark.parametrize("model, constructor, theta0", _BLOCK_BORN)
+    def test_a_row_is_kept_exactly_when_its_one_row_build_succeeds(self, model, constructor,
+                                                                     theta0):
+        # constant samples, non-finite values, non-positive exponential draws,
+        # |r| = 1 and overflowing sums, each dropped exactly when the constructor
+        # on that row alone raises
+        gen = CdGenerator(model, constructor, 12, theta0, 5)
+        data = _bad_rows(gen, gen.draw_block(range(10)))
+        _, kept = family_block(*gen.family_rows(data))
+        builds = [_builds(gen, data[i], i) for i in range(10)]
+        assert kept.tolist() == builds
+        assert not all(builds) and builds[0] and builds[8] and builds[9]
+
+    @pytest.mark.parametrize("model, constructor, theta0", _BLOCK_BORN + [
+        ("normal-mean-known-sigma", "likelihood", 0.7),
+        ("exponential-rate", "likelihood", 1.7),
+        ("normal-mean-known-sigma", "point-mass", 0.7),
+        ("normal-mean-unknown-sigma", "raw-bootstrap", -1.2)])
+    def test_calibrate_equals_one_cd_at_a_time(self, model, constructor, theta0):
+        gen = CdGenerator(model, constructor, 15, theta0, 736)
         report = calibrate(gen, _REPS, _LEVELS)
         u, freqs, med = _one_at_a_time(gen)
         assert report.u_values.tobytes() == u.tobytes()
         assert [row[1] for row in report.coverage] == freqs
         assert report.median_unbiased_fraction == med and report.failures == 0
 
-    def test_mixed_kinds_are_read_in_index_order(self):
-        gens = [CdGenerator("normal-mean-known-sigma", "pivot", 20, 0.3, 5),
-                CdGenerator("normal-mean-known-sigma", "likelihood", 20, 0.3, 5),
-                CdGenerator("normal-mean-known-sigma", "point-mass", 20, 0.3, 5),
-                CdGenerator("normal-mean-unknown-sigma", "pivot", 20, 0.3, 5),
-                CdGenerator("normal-mean-unknown-sigma", "pivot", 9, 0.3, 5),
-                CdGenerator("normal-mean-unknown-sigma", "raw-bootstrap", 20, 0.3, 5,
-                            {"B": 100})]
-        cds = [gens[i % len(gens)].replicate(i) for i in range(40)]
-        u, hits, below = _read_block(cds + [None], 0.3, _LEVELS)
-        k = len(_LEVELS)
-        for j, cd in enumerate(cds):
-            q = cd_quantile(cd, _PROBS)
-            assert u[j] == cd_eval(cd, 0.3)
-            assert list(hits[:, j]) == [q[i] <= 0.3 <= q[k + i] for i in range(k)]
-            assert below[j] == (q[-1] <= 0.3)
-
-    @pytest.mark.parametrize("model, theta0", _PIVOTS)
-    def test_failed_builds_leave_every_other_row(self, monkeypatch, model, theta0):
-        gen = CdGenerator(model, "pivot", 15, theta0, 42)
-        # the first and last replicates of both blocks, and one inside
+    @pytest.mark.parametrize("model, constructor, theta0", _BLOCK_BORN)
+    def test_failed_builds_leave_every_other_row(self, monkeypatch, model, constructor, theta0):
+        gen = CdGenerator(model, constructor, 15, theta0, 42)
+        # the first and last replicates of both blocks, and one inside; their
+        # drawn rows turn non-finite, which every constructor refuses
         failing = {0, 17, _REPLICATE_BLOCK - 1, _REPLICATE_BLOCK, _REPS - 1}
-        build = CdGenerator.build_cd
+        draw = CdGenerator.draw_block
 
-        def flaky(self, data, index):
-            if index in failing:
-                raise DegenerateSampleError(f"replicate {index}")
-            return build(self, data, index)
+        def flaky(self, indices):
+            data = draw(self, indices)
+            for j, i in enumerate(indices):
+                if i in failing:
+                    data[j] = math.nan
+            return data
 
         u, freqs, med = _one_at_a_time(gen, skip=failing)
-        monkeypatch.setattr(CdGenerator, "build_cd", flaky)
+        monkeypatch.setattr(CdGenerator, "draw_block", flaky)
         report = calibrate(gen, _REPS, _LEVELS)
         assert report.failures == len(failing)
         assert report.u_values.tobytes() == u.tobytes()
         assert [row[1] for row in report.coverage] == freqs
         assert report.median_unbiased_fraction == med
+
+    @pytest.mark.parametrize("model, constructor, theta0", _BLOCK_BORN)
+    def test_constructor_refusals_are_dropped_and_counted(self, monkeypatch, model,
+                                                          constructor, theta0):
+        # rows 1 to 7 of each block turn into samples a constructor may refuse
+        gen = CdGenerator(model, constructor, 12, theta0, 8)
+        draw = CdGenerator.draw_block
+        data = np.concatenate([_bad_rows(gen, draw(gen, range(start, start + _REPLICATE_BLOCK)))
+                               for start in (0, _REPLICATE_BLOCK)])[:_REPS]
+        builds = [_builds(gen, data[i], i) for i in range(_REPS)]
+        monkeypatch.setattr(CdGenerator, "draw_block",
+                            lambda self, indices: _bad_rows(self, draw(self, indices)))
+        report = calibrate(gen, _REPS, _LEVELS)
+        assert report.failures == builds.count(False) > 0
+        want = [float(cd_eval(gen.build_cd(data[i], i), theta0))
+                for i in range(_REPS) if builds[i]]
+        assert report.u_values.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("model, theta0", _PIVOTS)
     def test_reports_equal_across_thread_counts(self, monkeypatch, model, theta0):
