@@ -10,15 +10,18 @@ the same dataset so the verdict reflects the construction, not the noise.
 Each statistic has one per-CD reader: ``sample_dispersion``, a risk
 functional built once per weight, and the tail-mass stack.  The risk and tail
 readers reduce H values, so a caller can read both off one ``cd_eval``.
-``mc_dispersion``, ``risk``, ``dominance_mc`` and ``paired_compare`` read
-each replicate of a block that simlab's ``run_replicates``, the one replicate
-loop, hands them.
-The paired passes share ``_paired_draw``: each generator's CD on generator
-1's data, plus, for ``paired_compare`` when the draw keys differ, generator
-2's CD on its own draws, as dispersion and risk describe a generator on its
-own draws.  ``paired_compare``, which ``cdkit compare`` runs, evaluates each
-CD once and reads all three statistics off it; with one loop and one draw it
-equals the separate passes bit for bit.
+``mc_dispersion``, ``risk``, ``dominance_mc`` and ``paired_compare`` hand
+one block function, ``_read_block``, to simlab's ``run_replicates``, the one
+replicate loop.  It draws generator 1's block of data, plus, when the draw
+keys differ, generator 2's own block, as dispersion and risk describe a
+generator on its own draws.  A block-born recipe's CDs are one family block:
+one ``cd_eval`` reads the block's tail points and risk nodes, and dispersion
+maps cached base quantiles through the block's from_base.  Any other
+recipe's CDs are built and read one replicate at a time.  Either way a
+replicate's reads are the bytes its one-replicate CD gives.
+``paired_compare``, which ``cdkit compare`` runs, reads each CD once for all
+three statistics; with one block function and one draw it equals the
+separate passes bit for bit.
 
 Dispersion is an expectation under the CD: it reads four probe quantiles,
 then the 2048 node quantiles of ``inference``'s one rule, which ``cd_mean``
@@ -30,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +45,11 @@ from .cd_core import (
     cd_log_lower,
     cd_log_upper,
     cd_quantile,
+    family_block,
     write_table,
 )
 from .errors import ConfigError, PairingError, ParameterDomainError
-from .inference import _expect, _gauss_legendre, _quantiles
+from .inference import _base_quantiles, _expect, _gauss_legendre, _quantiles
 from .simlab import CdGenerator, run_replicates
 
 _RISK_POINTS = 256
@@ -144,14 +149,20 @@ def sample_dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float)
     they scale the loss check, and the rule rejects CDs without a mean
     before its node quantiles are computed.
     """
-    theta0 = float(theta0)
+    return _dispersion(cd, loss, float(theta0), _quantiles(cd, "probes"),
+                       partial(_quantiles, cd, "nodes"))
+
+
+def _dispersion(cd: ConfidenceDistribution, loss: LossSpec, theta0: float, probes,
+                nodes) -> float:
+    """sample_dispersion of cd from its probe quantiles and ``nodes()``, its
+    node quantiles."""
     phi = lambda x: _elementwise(lambda v: loss.phi(v, theta0), x)
-    probes = _quantiles(cd, "probes")
     q25, q75 = float(probes[1]), float(probes[2])
     loss.spot_check(theta0, max(q75 - q25, 1e-6 * (1.0 + abs(theta0))))
     if cd.kind == "sample":
         return float(np.dot(phi(cd.atoms), cd.weights))
-    return _expect(cd, phi, probes)
+    return _expect(phi, probes, nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +185,133 @@ def _check_reps(reps: int) -> None:
         raise ConfigError(f"need at least {_MIN_REPS} replications, got {reps}")
 
 
-def _each_replicate(one, reps: int) -> np.ndarray:
-    """one(i) for i in range(reps) as one array, replicates along its first axis."""
-    return np.concatenate(run_replicates(lambda block: np.array([one(i) for i in block]),
-                                         range(reps)))
+# ---------------------------------------------------------------------------
+# replicate blocks: every pass reads its replicates through _read_block
+
+_NODE_ROWS = 32  # a family block maps its dispersion node quantiles this many rows at a time
+
+
+class _Read(NamedTuple):
+    """What a pass reads off gen's CD of each replicate, built on the data
+    that draws draws: H at points, the first n_tail of them tail points, and
+    its dispersion under loss unless loss is None."""
+
+    gen: CdGenerator
+    draws: CdGenerator
+    points: np.ndarray
+    n_tail: int = 0
+    loss: LossSpec | None = None
+
+
+class _BlockCds:
+    """A read's CDs on the rows of a block's data, built and read row by row.
+
+    A block_born recipe's rows are one ``family_block``: H at the points is
+    one ``cd_eval``, and dispersion maps the cached base quantiles through
+    the block's from_base, each parameter a column, in chunks of
+    ``_NODE_ROWS`` rows.  Any other recipe builds a row's CD with
+    ``build_cd`` when the row is reached; replicate 0's is given when it was
+    built alone.
+    """
+
+    def __init__(self, read: _Read, data: np.ndarray, block, first):
+        self.read, self.data, self.block, self.first = read, data, block, first
+        self.tail_rows, self.chunk_at = [], None
+        if not read.gen.block_born:
+            self.family = None
+            return
+        name, params, ok = read.gen.family_rows(data)
+        self.family, kept = family_block(name, params, ok)
+        refused = np.flatnonzero(~kept)
+        # the rows before the first refused one are all kept: row j is column j
+        self.stop = int(refused[0]) if refused.size else len(block)
+        self.cols = {key: v[kept, None] for key, v in params.items() if np.ndim(v)}
+        self.h = cd_eval(self.family, read.points[:, None]) if read.points.size else None
+        self.probes = self._quantiles("probes", slice(None)) if read.loss is not None else None
+
+    def _quantiles(self, grid: str, rows: slice) -> np.ndarray:
+        """The quantiles at _grid_probs(grid) of the block's CDs rows, a row each."""
+        base_q = _base_quantiles(self.family.base, self.family.side, grid)
+        cols = {key: v[rows] for key, v in self.cols.items()}
+        return np.asarray(self.family.from_base(base_q, **cols), dtype=float)
+
+    def build(self, j: int) -> None:
+        """Build row j's CD, or raise the error its one-row build raises."""
+        gen, index = self.read.gen, self.block[j]
+        if self.family is None:
+            self.cd = (self.first if index == 0 and self.first is not None
+                       else gen.build_cd(self.data[j], index))
+            if self.read.points.size:
+                self.h_row = cd_eval(self.cd, self.read.points)
+                self.tail_rows.append(self.h_row[:self.read.n_tail])
+        elif j == self.stop:
+            gen.build_cd(self.data[j], index)
+            raise RuntimeError(f"replicate {index} builds alone but not in its block")
+
+    def nodes(self, j: int) -> np.ndarray:
+        """H of row j's CD at the points past the tail points."""
+        if self.family is None:
+            return self.h_row[self.read.n_tail:]
+        return self.h[self.read.n_tail:, j]
+
+    def dispersion(self, j: int) -> float:
+        loss, theta0 = self.read.loss, self.read.gen.theta0
+        if self.family is None:
+            return sample_dispersion(self.cd, loss, theta0)
+        start = j - j % _NODE_ROWS
+        if self.chunk_at != start:
+            self.chunk = self._quantiles("nodes", slice(start, start + _NODE_ROWS))
+            self.chunk_at = start
+        nodes = lambda: self.chunk[j - start]
+        return _dispersion(self.family, loss, theta0, self.probes[j], nodes)
+
+    def tails(self) -> np.ndarray:
+        """H at the tail points, a row per replicate of the block."""
+        if self.family is None:
+            return np.array(self.tail_rows).reshape(len(self.block), self.read.n_tail)
+        return np.array(self.h[:self.read.n_tail].T)
+
+
+def _read_block(reads, row, first, block) -> tuple:
+    """(H at the tail points of each read that has some, the columns of
+    row(j, *cds) over rows j) for the replicates block, cds holding each
+    read's CDs.
+
+    Each generator whose draws a read takes draws the block once.  Rows are
+    built and read in index order, a row's CDs in the order of reads, so a
+    block ends on its lowest failing replicate: a CD that does not build
+    raises the error its one-row build raises.  first holds each read's
+    replicate-0 CD, or is empty.
+    """
+    data = {}
+    for read in reads:
+        if read.draws.draw_key not in data:
+            data[read.draws.draw_key] = read.draws.draw_block(block)
+    known = first if first and block[0] == 0 else (None,) * len(reads)
+    cds = [_BlockCds(read, data[read.draws.draw_key], block, cd0)
+           for read, cd0 in zip(reads, known)]
+    values = []
+    for j in range(len(block)):
+        for cd in cds:
+            cd.build(j)
+        values.append(row(j, *cds))
+    return ([cd.tails() for cd in cds if cd.read.n_tail],
+            [np.array(col) for col in zip(*values)])
+
+
+def _read_replicates(reads, row, reps: int, first=()) -> tuple:
+    """_read_block over replicates 0 to reps - 1, each array joined across blocks."""
+    tails, columns = zip(*run_replicates(partial(_read_block, reads, row, first), range(reps)))
+    return ([np.concatenate(parts) for parts in zip(*tails)],
+            [np.concatenate(parts) for parts in zip(*columns)])
 
 
 def mc_dispersion(gen: CdGenerator, loss: LossSpec, reps: int) -> McEstimate:
     """Mean dispersion over seeded replications of a generator."""
     _check_reps(reps)
-    return _mc_aggregate(_each_replicate(
-        lambda i: sample_dispersion(gen.replicate(i), loss, gen.theta0), reps))
+    read = _Read(gen, gen, np.empty(0), loss=loss)
+    _, (values,) = _read_replicates((read,), lambda j, cd: (cd.dispersion(j),), reps)
+    return _mc_aggregate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +348,9 @@ def risk(gen: CdGenerator, spec: RiskSpec, reps: int) -> McEstimate:
     """MC mean of psi(|H(x) - 1[x >= theta0]|) integrated against the weight."""
     _check_reps(reps)
     nodes, reduce = _risk_reader(spec, gen.theta0)
-    return _mc_aggregate(_each_replicate(lambda i: reduce(cd_eval(gen.replicate(i), nodes)),
-                                         reps))
+    _, (values,) = _read_replicates((_Read(gen, gen, nodes),),
+                                    lambda j, cd: (reduce(cd.nodes(j)),), reps)
+    return _mc_aggregate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +437,14 @@ def _tail_points(theta0: float, eps_arr: np.ndarray) -> np.ndarray:
     return np.concatenate([theta0 - eps_arr, theta0 + eps_arr])
 
 
-def _paired_draw(gen1: CdGenerator, gen2: CdGenerator, own: bool, index: int) -> tuple:
-    """(gen1's CD, gen2's CD) on gen1's data, and gen2's CD on its own draws (cd2 unless own)."""
-    data = gen1.draw_data(index)
-    cd1, cd2 = gen1.build_cd(data, index), gen2.build_cd(data, index)
-    return cd1, cd2, (gen2.replicate(index) if own else cd2)
-
-
 def _tail_stack(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """(4, n_eps): H1(lows), H2(lows), 1 - H1(highs), 1 - H2(highs).
+    """(reps, 4, n_eps): H1(lows), H2(lows), 1 - H1(highs), 1 - H2(highs).
 
-    h1 and h2 hold each CD's H at the tail points, concat(lows, highs).
+    h1 and h2 hold each CD's H at the tail points, concat(lows, highs), a
+    row per replicate.
     """
-    k = h1.size // 2
-    return np.stack([h1[:k], h2[:k], 1.0 - h1[k:], 1.0 - h2[k:]])
+    k = h1.shape[1] // 2
+    return np.stack([h1[:, :k], h2[:, :k], 1.0 - h1[:, k:], 1.0 - h2[:, k:]], axis=1)
 
 
 def _dominance_report(theta0: float, eps_arr: np.ndarray, stats: np.ndarray,
@@ -365,12 +487,9 @@ def dominance_mc(gen1: CdGenerator, gen2: CdGenerator, theta0: float,
     eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
     theta0 = float(theta0)
     tails = _tail_points(theta0, eps_arr)
-
-    def one(i):
-        cd1, cd2, _ = _paired_draw(gen1, gen2, False, i)
-        return _tail_stack(cd_eval(cd1, tails), cd_eval(cd2, tails))
-
-    return _dominance_report(theta0, eps_arr, _each_replicate(one, reps), reps)
+    reads = (_Read(gen1, gen1, tails, tails.size), _Read(gen2, gen1, tails, tails.size))
+    (h1, h2), _ = _read_replicates(reads, lambda j, *cds: (), reps)
+    return _dominance_report(theta0, eps_arr, _tail_stack(h1, h2), reps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,53 +510,47 @@ def paired_compare(gen1: CdGenerator, gen2: CdGenerator, theta0: float, eps_grid
                    reps: int) -> PairedComparison:
     """dominance_mc, mc_dispersion and risk of both generators in one pass.
 
-    Replicate i is dominance_mc's paired draw; each CD is evaluated once, at
-    the tail points and the risk nodes together, and the tail masses, both
+    Replicate i is dominance_mc's paired draw; each CD is evaluated once, in
+    its block, at the tail points and the risk nodes together, and the tail masses, both
     dispersions and both risks are read off it.  Dispersion and risk describe
     each generator on its own draws, as mc_dispersion and risk do: when the
-    draw keys differ (another seed, theta0 or sigma), the draw adds gen2's
-    own CD for those reads.  One loop and one draw, so the result equals the
-    three separate calls bit for bit.
+    draw keys differ (another seed, theta0 or sigma), each block adds gen2's
+    own draws and CDs for those reads.  One block function and one draw, so
+    the result equals the three separate calls bit for bit.
 
     Dispersion is under squared error; risk weighs uniformly over theta0 +- 3
-    IQR of gen1's replicate-0 CD, so replicate 0 is built first and read like
-    the others.  Every config check runs before any replicate is built.
+    IQR of gen1's replicate-0 CD, so replicate 0's CDs are built alone first;
+    its reads come from its block, as every other replicate's do.  Every
+    config check runs before any replicate is built.
     """
     eps_arr = _paired_eps(gen1, gen2, eps_grid, reps)
     theta0 = float(theta0)
     tails = _tail_points(theta0, eps_arr)
     shared = gen1.draw_key == gen2.draw_key
-    draw = partial(_paired_draw, gen1, gen2, not shared)
-    first = draw(0)
+    data = gen1.draw_data(0)
+    first = (gen1.build_cd(data, 0), gen2.build_cd(data, 0))
+    first += () if shared else (gen2.replicate(0),)
     q25, q75 = cd_quantile(first[0], np.array([0.25, 0.75]))
     spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
     nodes, risk1 = _risk_reader(spec, gen1.theta0)
     _, risk2 = _risk_reader(spec, gen2.theta0)
     points = np.concatenate([tails, nodes])
-    n_tail = tails.size
+    # on shared draws gen2's dispersion and risk read its CD on gen1's data
+    reads = (_Read(gen1, gen1, points, tails.size, SquaredError),
+             _Read(gen2, gen1, points, tails.size, SquaredError) if shared
+             else _Read(gen2, gen1, tails, tails.size))
+    reads += () if shared else (_Read(gen2, gen2, nodes, loss=SquaredError),)
 
-    def one(i):
-        cd1, cd2, own2 = first if i == 0 else draw(i)
-        h1 = cd_eval(cd1, points)
-        if shared:
-            h2 = cd_eval(cd2, points)
-            h_own2 = h2[n_tail:]
-        else:
-            h2 = cd_eval(cd2, tails)
-            h_own2 = cd_eval(own2, nodes)
-        return (_tail_stack(h1[:n_tail], h2[:n_tail]),
-                sample_dispersion(cd1, SquaredError, gen1.theta0),
-                sample_dispersion(own2, SquaredError, gen2.theta0),
-                risk1(h1[n_tail:]), risk2(h_own2))
+    def row(j, cd1, *rest):
+        own2 = rest[-1]
+        return (cd1.dispersion(j), own2.dispersion(j), risk1(cd1.nodes(j)), risk2(own2.nodes(j)))
 
-    blocks = run_replicates(lambda block: [np.array(c) for c in zip(*map(one, block))],
-                            range(reps))
-    stacks, disp1, disp2, risks1, risks2 = (np.concatenate(parts) for parts in zip(*blocks))
+    (h1, h2), (disp1, disp2, risks1, risks2) = _read_replicates(reads, row, reps, first)
     return PairedComparison(
-        dominance=_dominance_report(theta0, eps_arr, stacks, reps),
+        dominance=_dominance_report(theta0, eps_arr, _tail_stack(h1, h2), reps),
         dispersion=(_mc_aggregate(disp1), _mc_aggregate(disp2)),
         risk=(_mc_aggregate(risks1), _mc_aggregate(risks2)),
-        first_cds=(first[0], first[2]),
+        first_cds=(first[0], first[-1]),
     )
 
 

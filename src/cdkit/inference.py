@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -171,13 +171,13 @@ def _integrability_check(probes) -> None:
         )
 
 
-def _expect(cd: ConfidenceDistribution, f, probes) -> float:
+def _expect(f, probes, nodes) -> float:
     """Integral of f(x) dH(x) by the rule, f taking an array of quantiles.
-    ``probes``, ``_quantiles(cd, "probes")``, reject a CD with mass far out
-    in its tails before the node quantiles are read."""
+    ``probes``, a CD's ``_quantiles(cd, "probes")``, reject a CD with mass far
+    out in its tails before ``nodes()``, its node quantiles, is called."""
     _integrability_check(probes)
     _, w, w_sum = _rule()
-    return float(np.dot(f(_quantiles(cd, "nodes")), w) / w_sum)
+    return float(np.dot(f(nodes()), w) / w_sum)
 
 
 def cd_mean(cd: ConfidenceDistribution) -> float:
@@ -193,7 +193,7 @@ def cd_mean(cd: ConfidenceDistribution) -> float:
         th, va = cd.theta, cd.values
         mids = 0.5 * (th[:-1] + th[1:])
         return float(va[0] * th[0] + np.dot(np.diff(va), mids) + (1.0 - va[-1]) * th[-1])
-    return _expect(cd, lambda q: q, _quantiles(cd, "probes"))
+    return _expect(lambda q: q, _quantiles(cd, "probes"), partial(_quantiles, cd, "nodes"))
 
 
 def cd_mode(cd: ConfidenceDistribution) -> float:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .cd_core import ConfidenceDistribution, read_table, sample_cd, write_table
 from .errors import (
@@ -150,16 +149,21 @@ def _as_point(x, k: int) -> np.ndarray:
 
 
 def _scatter_factor(cloud: np.ndarray):
+    # scipy.linalg loads on the first Mahalanobis depth: most commands never read one
+    from scipy.linalg import cho_factor
+
     center = cloud.mean(axis=0)
     scatter = np.atleast_2d(np.cov(cloud, rowvar=False))
     try:
         factor = cho_factor(scatter)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("cloud scatter matrix is singular") from exc
     return center, factor
 
 
 def _mahalanobis_depth(dev: np.ndarray, factor) -> np.ndarray:
+    from scipy.linalg import cho_solve
+
     d2 = np.einsum("ij,ij->i", dev, cho_solve(factor, dev.T).T)
     return 1.0 / (1.0 + np.maximum(d2, 0.0))
 

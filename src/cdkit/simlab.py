@@ -8,8 +8,8 @@ its index: reports are bit-for-bit reproducible at any worker count.
 ``run_replicates`` is the one loop over replicates, for calibrate and compare;
 it hands out blocks of replicate indices.  calibrate draws a block of a pivot
 or normal-approximation recipe as one (block, n) array and binds its CDs as
-one family CD over parameter arrays; every other recipe builds a CD per
-replicate.
+one family CD over parameter arrays, and so do the compare passes; every
+other recipe builds a CD per replicate.
 """
 
 from __future__ import annotations
@@ -244,7 +244,8 @@ class CdGenerator:
 
     @property
     def block_born(self) -> bool:
-        """Whether calibrate builds this recipe's CDs a block at a time, by family_rows."""
+        """Whether calibrate and compare build this recipe's CDs a block at a time,
+        by family_rows."""
         return self.constructor == "pivot" or self.constructor in _ASYMPTOTIC
 
     def family_rows(self, data: np.ndarray) -> tuple:

@@ -20,7 +20,6 @@ from cdkit.constructors import (
     normal_mean_cd,
     normal_variance_cd,
 )
-from cdkit.errors import DegenerateSampleError
 from cdkit.inference import NullRegion, cd_mean, cd_median, cd_mode, support_report
 from cdkit.multivariate import (
     DepthSpec,
@@ -474,15 +473,15 @@ class TestCompare:
         assert runs[0] == runs[1]
 
     def test_shared_draws_build_each_cd_once(self, capsys, tmp_path, monkeypatch):
-        # slopes and the risk weight reuse replicate 0's CDs: no extra builds
-        original = CdGenerator.build_cd
-        calls = []
-
-        def counting(gen, data, index):
-            calls.append((gen.constructor, index))
-            return original(gen, data, index)
-
-        monkeypatch.setattr(CdGenerator, "build_cd", counting)
+        # the pivot's block of CDs comes from family_rows, each likelihood CD from
+        # build_cd; replicate 0's CDs, built alone for the slopes and the risk
+        # weight, stand in for the likelihood's in its block
+        build, family_rows = CdGenerator.build_cd, CdGenerator.family_rows
+        calls, bound = [], []
+        monkeypatch.setattr(CdGenerator, "build_cd", lambda gen, data, index: (
+            calls.append((gen.constructor, index)) or build(gen, data, index)))
+        monkeypatch.setattr(CdGenerator, "family_rows", lambda gen, data: (
+            bound.append((gen.constructor, len(data))) or family_rows(gen, data)))
         c1 = tmp_path / "g1.json"
         c2 = tmp_path / "g2.json"
         c1.write_text(json.dumps({"model": "exponential-rate", "constructor": "pivot",
@@ -493,22 +492,15 @@ class TestCompare:
             "compare", "--config1", str(c1), "--config2", str(c2),
             "--eps", "0.1,0.5", "--reps", "100", "--out-prefix", str(tmp_path / "cmp")])
         assert code == 0
-        assert sorted(calls) == sorted((c, i) for c in ("pivot", "likelihood")
-                                       for i in range(100))
+        assert sorted(calls) == [("likelihood", i) for i in range(100)] + [("pivot", 0)]
+        assert bound == [("pivot", 100)]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("seed2", [8, 9], ids=["shared draws", "own draws"])
-    def test_a_failing_replicate_ends_the_run(self, capsys, tmp_path, monkeypatch, seed2,
-                                              threads):
+    def test_a_failing_replicate_ends_the_run(self, capsys, tmp_path, monkeypatch,
+                                              fail_replicates, seed2, threads):
         # the lowest failing replicate's error, at any thread count, and no artifact
-        original = CdGenerator.build_cd
-
-        def failing(gen, data, index):
-            if index in (7, 300):
-                raise DegenerateSampleError(f"replicate {index}")
-            return original(gen, data, index)
-
-        monkeypatch.setattr(CdGenerator, "build_cd", failing)
+        fail_replicates({7, 300})
         monkeypatch.setenv("CDKIT_THREADS", threads)
         c1 = tmp_path / "g1.json"
         c2 = tmp_path / "g2.json"
@@ -733,6 +725,27 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["command"] == "calibrate"
+
+    def test_scipy_linalg_loads_with_the_first_mahalanobis_depth(self, tmp_path, cloud_csv):
+        # calibrate and compare never factor a scatter matrix; a Mahalanobis depth does
+        for tag, cfg in (("1", {"constructor": "pivot", "seed": 1}),
+                         ("2", {"constructor": "asymptotic-median", "seed": 1})):
+            (tmp_path / f"g{tag}.json").write_text(json.dumps(
+                {"model": "normal-mean-known-sigma", "n": 20, "theta0": 0.3, **cfg}))
+        script = (
+            "import sys; import cdkit.cli as cli; "
+            f"import os; os.chdir({str(tmp_path)!r}); "
+            "assert cli.run(['calibrate', '--config', 'g1.json']) == 0; "
+            "assert cli.run(['compare', '--config1', 'g1.json', '--config2', 'g2.json', "
+            "'--reps', '100', '--out-prefix', 'cmp']) == 0; "
+            "assert 'scipy.linalg' not in sys.modules; "
+            "assert cli.run(['mv', 'depth', '--cloud', 'cloud.csv', '--point', '0.1,0.2', "
+            "'--kind', 'mahalanobis']) == 0; "
+            "assert 'scipy.linalg' in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [json.loads(line)["command"] for line in proc.stdout.splitlines()] == [
+            "calibrate", "compare", "mv"]
 
     def test_unknown_command(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])

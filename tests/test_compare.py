@@ -25,6 +25,7 @@ from cdkit.compare import (
     LossSpec,
     RiskSpec,
     SquaredError,
+    _risk_reader,
     bahadur_slopes,
     default_risk,
     dkw_epsilon,
@@ -49,6 +50,7 @@ from cdkit.constructors import (
     normal_variance_cd,
 )
 from cdkit.errors import (
+    CdkitError,
     ConfigError,
     DegenerateSampleError,
     NonintegrableCdError,
@@ -479,43 +481,48 @@ class TestPairedCompare:
         for got, gen in zip(fused.risk, (gen1, gen2)):
             assert self._same(got, risk(gen, spec, self.REPS))
 
-    @pytest.mark.parametrize("case, builds", [("shared draws", 2), ("own draws", 3)])
-    def test_builds_each_cd_once_per_replicate(self, monkeypatch, case, builds):
+    @pytest.mark.parametrize("case, alone, rows", [
+        ("shared draws", [0, 0], [256, 256, 44, 44]),
+        ("own draws", [0, 0, 0], [256, 256, 256, 44, 44, 44]),
+        # the bootstrap-t CDs of replicates 1 to 299 are built in their blocks
+        ("bootstrap", [0, 0] + list(range(1, 300)), [256, 44]),
+    ])
+    def test_builds_each_cd_once_per_replicate(self, monkeypatch, case, alone, rows):
+        # a block-born recipe builds a block's CDs from family_rows, any other builds
+        # each with build_cd; replicate 0's CDs are also built alone, by build_cd,
+        # for the default risk weight and first_cds
         monkeypatch.setenv("CDKIT_THREADS", "1")
-        original = CdGenerator.build_cd
-        calls = []
-
-        def counting(gen, data, index):
-            calls.append(index)
-            return original(gen, data, index)
-
-        monkeypatch.setattr(CdGenerator, "build_cd", counting)
+        build, family_rows = CdGenerator.build_cd, CdGenerator.family_rows
+        calls, bound = [], []
+        monkeypatch.setattr(CdGenerator, "build_cd", lambda gen, data, index: (
+            calls.append(index) or build(gen, data, index)))
+        monkeypatch.setattr(CdGenerator, "family_rows", lambda gen, data: (
+            bound.append(len(data)) or family_rows(gen, data)))
         gen1, gen2 = self.CASES[case]
-        paired_compare(gen1, gen2, THETA0, self.EPS, 100)
-        # replicate 0's CDs also give the default risk weight
-        assert len(calls) == builds * 100
+        paired_compare(gen1, gen2, THETA0, self.EPS, 300)
+        assert sorted(calls) == alone
+        assert bound == rows
 
-    def test_shared_draws_read_each_cd_once(self, monkeypatch):
+    @pytest.mark.parametrize("case, draws, evals", [
+        # one read per block of CDs: both tail points and risk nodes
+        ("shared draws", [(1, [0]), (1, range(256)), (1, range(256, 300))], [260] * 4),
+        # gen2's CDs on gen1's data read the tails, its own CDs the risk nodes
+        ("own draws", [(1, [0]), (2, [0]), (1, range(256)), (2, range(256)),
+                       (1, range(256, 300)), (2, range(256, 300))], [260, 4, 256] * 2),
+    ])
+    def test_each_block_is_drawn_and_read_once(self, monkeypatch, case, draws, evals):
         monkeypatch.setenv("CDKIT_THREADS", "1")
-        draws, evals = [], []
-        draw, evaluate = CdGenerator.draw_data, compare_module.cd_eval
-
-        def counting_draw(gen, index):
-            draws.append(index)
-            return draw(gen, index)
-
-        def counting_eval(cd, x):
-            evals.append(np.size(x))
-            return evaluate(cd, x)
-
-        monkeypatch.setattr(CdGenerator, "draw_data", counting_draw)
-        monkeypatch.setattr(compare_module, "cd_eval", counting_eval)
-        gen1, gen2 = self.CASES["shared draws"]
-        paired_compare(gen1, gen2, THETA0, self.EPS, 100)
-        # pairing is decided from the draw keys, not by drawing gen2's data
-        assert sorted(draws) == list(range(100))
-        # one read per CD: both tail points and risk nodes
-        assert evals == [2 * len(self.EPS) + 256] * 200
+        gen1, gen2 = self.CASES[case]
+        drawn, read = [], []
+        draw, evaluate = CdGenerator.draw_block, compare_module.cd_eval
+        monkeypatch.setattr(CdGenerator, "draw_block", lambda gen, indices: (
+            drawn.append((1 if gen is gen1 else 2, list(indices))) or draw(gen, indices)))
+        monkeypatch.setattr(compare_module, "cd_eval", lambda cd, x: (
+            read.append(np.size(x)) or evaluate(cd, x)))
+        paired_compare(gen1, gen2, THETA0, self.EPS, 300)
+        # pairing is decided from the draw keys: on shared draws gen2 never draws
+        assert drawn == [(g, list(indices)) for g, indices in draws]
+        assert read == evals
 
     @pytest.mark.parametrize("case", ["shared draws", "own draws"])
     def test_first_cds_are_the_replicate_zero_cds(self, case):
@@ -526,29 +533,27 @@ class TestPairedCompare:
             assert np.array_equal(cd_quantile(got, s), cd_quantile(gen.replicate(0), s))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_the_lowest_failing_replicate_ends_each_pass(self, monkeypatch, threads):
-        original = CdGenerator.build_cd
-
-        def failing(gen, data, index):
-            if index in (7, 300):
-                raise DegenerateSampleError(f"replicate {index}")
-            return original(gen, data, index)
-
-        monkeypatch.setattr(CdGenerator, "build_cd", failing)
+    @pytest.mark.parametrize("case", ["own draws", "bootstrap"])
+    def test_the_lowest_failing_replicate_ends_each_pass(self, monkeypatch, fail_replicates,
+                                                         case, threads):
+        fail_replicates({7, 300})
         monkeypatch.setenv("CDKIT_THREADS", threads)
-        gen1, gen2 = self.CASES["own draws"]
-        passes = [functools.partial(dominance_mc, gen1, gen2, THETA0, self.EPS),
+        gen1, gen2 = self.CASES[case]
+        passes = [functools.partial(paired_compare, gen1, gen2, THETA0, self.EPS),
+                  functools.partial(dominance_mc, gen1, gen2, THETA0, self.EPS),
                   functools.partial(mc_dispersion, gen1, SquaredError),
+                  functools.partial(mc_dispersion, gen2, SquaredError),
                   functools.partial(risk, gen2, default_risk(THETA0, 1.0))]
         for run in passes:
             with pytest.raises(DegenerateSampleError, match="^replicate 7$"):
                 run(400)
 
     def test_config_checks_come_before_any_replicate(self, monkeypatch):
-        def refuse(gen, data, index):
-            raise AssertionError("a replicate was built")
+        def refuse(*args):
+            raise AssertionError("a replicate was drawn or built")
 
-        monkeypatch.setattr(CdGenerator, "build_cd", refuse)
+        for name in ("draw_block", "build_cd", "family_rows"):
+            monkeypatch.setattr(CdGenerator, name, refuse)
         gen1, gen2 = self.CASES["shared draws"]
         short = CdGenerator("normal-mean-known-sigma", "pivot", 11, THETA0, 1)
         with pytest.raises(ConfigError):
@@ -557,3 +562,103 @@ class TestPairedCompare:
             paired_compare(gen1, short, THETA0, self.EPS, 100)
         with pytest.raises(ParameterDomainError):
             paired_compare(gen1, gen2, THETA0, (0.1, 0.0), 100)
+
+
+# ---------------------------------------------------------------------------
+# block reads: every pass reads a block of replicates at once, with the bytes
+# of its replicates' one-row CDs
+
+_PAIRINGS = {
+    "pivot vs asymptotic-median": ("normal-mean-known-sigma", 0.4, "pivot",
+                                   "asymptotic-median", {}),
+    "exponential pivot vs likelihood": ("exponential-rate", 1.5, "pivot", "likelihood", {}),
+    # B at its floor
+    "pivot vs raw-bootstrap": ("normal-mean-known-sigma", -0.3, "pivot", "raw-bootstrap",
+                               {"B": 100}),
+    "pivot vs point-mass": ("normal-mean-known-sigma", 0.4, "pivot", "point-mass", {}),
+}
+_BLOCK_EPS = (0.2, 0.45)
+_BLOCK_REPS = 600  # blocks of 256, 256 and 88
+
+
+def _pairing(name, draws):
+    model, theta0, c1, c2, params = _PAIRINGS[name]
+    n = 12
+    return (CdGenerator(model, c1, n, theta0, 2024),
+            CdGenerator(model, c2, n, theta0, 2024 if draws == "shared" else 2025, params))
+
+
+@functools.lru_cache(maxsize=None)
+def _one_row_reads(name, draws):
+    """paired_compare's reads, each off gen.build_cd(gen.draw_data(i), i) alone:
+    (tail-mass stacks, dispersions 1 and 2, risks 1 and 2)."""
+    gen1, gen2 = _pairing(name, draws)
+    theta0 = gen1.theta0
+    cd0 = gen1.build_cd(gen1.draw_data(0), 0)
+    q25, q75 = cd_quantile(cd0, np.array([0.25, 0.75]))
+    spec = default_risk(theta0, max(float(q75 - q25), 1e-6))
+    nodes, reduce1 = _risk_reader(spec, gen1.theta0)
+    _, reduce2 = _risk_reader(spec, gen2.theta0)
+    eps = np.array(_BLOCK_EPS)
+    tails = np.concatenate([theta0 - eps, theta0 + eps])
+    stacks, rows = [], []
+    for i in range(_BLOCK_REPS):
+        data = gen1.draw_data(i)
+        cd1, cd2 = gen1.build_cd(data, i), gen2.build_cd(data, i)
+        own2 = gen2.build_cd(gen2.draw_data(i), i)
+        h1, h2 = cd_eval(cd1, tails), cd_eval(cd2, tails)
+        k = eps.size
+        stacks.append(np.stack([h1[:k], h2[:k], 1.0 - h1[k:], 1.0 - h2[k:]]))
+        rows.append((sample_dispersion(cd1, SquaredError, gen1.theta0),
+                     sample_dispersion(own2, SquaredError, gen2.theta0),
+                     reduce1(cd_eval(cd1, nodes)), reduce2(cd_eval(own2, nodes))))
+    return (np.array(stacks), *map(np.array, zip(*rows)))
+
+
+class TestBlockReads:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("draws", ["shared", "own"])
+    @pytest.mark.parametrize("name", sorted(_PAIRINGS))
+    def test_block_reads_are_the_one_row_reads(self, monkeypatch, name, draws, threads):
+        monkeypatch.setenv("CDKIT_THREADS", threads)
+        gen1, gen2 = _pairing(name, draws)
+        assert (gen1.draw_key == gen2.draw_key) == (draws == "shared")
+        stacks = []
+        report = compare_module._dominance_report
+        monkeypatch.setattr(compare_module, "_dominance_report", lambda t, e, stats, reps: (
+            stacks.append(stats) or report(t, e, stats, reps)))
+        got = paired_compare(gen1, gen2, gen1.theta0, _BLOCK_EPS, _BLOCK_REPS)
+        want_stacks, *want = _one_row_reads(name, draws)
+        assert stacks[0].tobytes() == want_stacks.tobytes()
+        values = [e.values for e in got.dispersion + got.risk]
+        assert [v.tobytes() for v in values] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("constructor, bad", [
+        ("pivot", np.full(12, 1.5)),  # a constant sample: the t pivot's sd is 0
+        ("asymptotic-median", np.r_[math.nan, np.ones(11)]),
+        ("likelihood", np.r_[math.nan, np.ones(11)]),
+        ("raw-bootstrap", np.r_[math.nan, np.ones(11)]),
+    ])
+    def test_a_refused_row_of_gen2s_own_draws_raises_its_own_error(
+            self, monkeypatch, constructor, bad, threads):
+        model = ("normal-mean-unknown-sigma" if constructor == "pivot"
+                 else "normal-mean-known-sigma")
+        gen1 = CdGenerator("normal-mean-known-sigma", "pivot", 12, 0.0, 2024)
+        gen2 = CdGenerator(model, constructor, 12, 0.0, 2025,
+                           {"B": 100} if constructor == "raw-bootstrap" else {})
+        with pytest.raises(CdkitError) as alone:
+            gen2.build_cd(bad, 300)
+        draw = CdGenerator.draw_block
+
+        def draw_block(gen, indices):
+            data = draw(gen, indices)
+            if gen is gen2 and 300 in indices:
+                data[list(indices).index(300)] = bad  # mid-block: row 44 of 256 to 511
+            return data
+
+        monkeypatch.setattr(CdGenerator, "draw_block", draw_block)
+        monkeypatch.setenv("CDKIT_THREADS", threads)
+        with pytest.raises(type(alone.value)) as block:
+            paired_compare(gen1, gen2, 0.0, _BLOCK_EPS, _BLOCK_REPS)
+        assert str(block.value) == str(alone.value)
