@@ -327,7 +327,7 @@ def sample_cd(atoms, weights=None, *, meta=None) -> ConfidenceDistribution:
     at = at[order]
     wt = wt[order]
     if weights is None or np.all(wt == wt[0]):
-        cum = np.arange(1, at.size + 1, dtype=float) / at.size
+        cum = _step_levels(at.size)
     else:
         cum = np.cumsum(wt)
         cum /= cum[-1]
@@ -335,6 +335,25 @@ def sample_cd(atoms, weights=None, *, meta=None) -> ConfidenceDistribution:
         arr.setflags(write=False)
     return ConfidenceDistribution(kind="sample", support=(at[0], at[-1]), values=cum,
                                   atoms=at, weights=wt, meta=dict(meta or {}))
+
+
+# A sample CD's H and Q, on its sorted atoms and H there (``values``); the lab
+# reads rows of equal-weight atoms by the same rules.
+
+def _step_levels(size: int) -> np.ndarray:
+    """H at the sorted atoms of an equal-weight sample CD: k / size."""
+    return np.arange(1, size + 1, dtype=float) / size
+
+
+def _sample_h(values, count):
+    """H at x, from count, the number of atoms at or below x."""
+    return np.where(count > 0, values[count - 1], 0.0)
+
+
+def _sample_rank(values, s):
+    """The index of the s-quantile among the sorted atoms."""
+    # H ends at exactly 1 > s - 1e-12, so the index stays inside the atoms
+    return np.searchsorted(values, s - 1e-12, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +373,7 @@ def cd_eval(cd: ConfidenceDistribution, x):
         # 0 below the first knot and 1 from the last on: the end masses sit on the end knots
         out = np.where(arr >= cd.theta[-1], 1.0, np.interp(arr, cd.theta, cd.values, left=0.0))
     elif cd.kind == "sample":
-        idx = np.searchsorted(cd.atoms, arr, side="right")
-        out = np.where(idx > 0, cd.values[idx - 1], 0.0)
+        out = _sample_h(cd.values, np.searchsorted(cd.atoms, arr, side="right"))
     else:
         raise UnsupportedRepresentationError(f"unknown CD kind {cd.kind!r}")
     return _shape_out(out, scalar)
@@ -374,11 +392,6 @@ def _grid_quantile(cd, s):
     out = np.where(idx == 0, th[0], out)
     out = np.where(s > va[-1], th[-1], out)
     return out
-
-
-def _sample_quantile(cd, s):
-    # H ends at exactly 1 > s - 1e-12, so the index stays inside the atoms
-    return cd.atoms[np.searchsorted(cd.values, s - 1e-12, side="left")]
 
 
 _INF_KEY = np.int64(0x7FF0000000000000)  # the bits of inf; -_INF_KEY is the key of -inf
@@ -458,7 +471,7 @@ def cd_quantile(cd: ConfidenceDistribution, s):
     elif cd.kind == "grid":
         out = _grid_quantile(cd, arr)
     elif cd.kind == "sample":
-        out = _sample_quantile(cd, arr)
+        out = cd.atoms[_sample_rank(cd.values, arr)]
     else:
         raise UnsupportedRepresentationError(f"unknown CD kind {cd.kind!r}")
     return _shape_out(out, scalar)

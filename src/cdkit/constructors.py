@@ -291,12 +291,14 @@ def hall_pivot_inverse(data: DataSample, value) -> float | np.ndarray:
     """
     if data.sd <= 0.0:
         raise DegenerateSampleError("constant sample: the studentized pivot degenerates")
-    n = data.n
-    a = data.skewness / (6.0 * math.sqrt(n))
     v = np.asarray(value, dtype=float)
-    if a == 0.0:
-        t = v
-    else:
-        t = (np.cbrt(1.0 + 6.0 * a * (v - a)) - 1.0) / (2.0 * a)
-    mu = data.mean - data.sd * t / math.sqrt(n)
+    mu = _hall_inverse(data.mean, data.sd, data.skewness, data.n, v)
     return float(mu) if v.ndim == 0 else mu
+
+
+def _hall_inverse(mean, sd, lam, n, v):
+    """hall_pivot_inverse on moments: mean, sd and lam are floats, or columns
+    with a row of pivots v each."""
+    a = lam / (6.0 * math.sqrt(n))
+    root = (np.cbrt(1.0 + 6.0 * a * (v - a)) - 1.0) / np.where(a == 0.0, 1.0, 2.0 * a)
+    return mean - sd * np.where(a == 0.0, v, root) / math.sqrt(n)

@@ -8,8 +8,11 @@ its index: reports are bit-for-bit reproducible at any worker count.
 ``run_replicates`` is the one loop over replicates, for calibrate and compare;
 it hands out blocks of replicate indices.  calibrate draws a block of a pivot
 or normal-approximation recipe as one (block, n) array and binds its CDs as
-one family CD over parameter arrays, and so do the compare passes; every
-other recipe builds a CD per replicate.
+one family CD over parameter arrays, and so do the compare passes.
+calibrate also resamples a block of a bootstrap recipe as rows, on the one
+row-batched engine in :mod:`cdkit.bootstrap`, and reads the rows' atoms by
+the sample CD's rules; every other recipe, and every bootstrap CD that
+compare reads, is built one replicate at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from . import probkernel as pk
 from .bootstrap import (
     _MIN_RESAMPLES,
     ResamplePlan,
+    atom_rows,
     bootstrap_t_cd,
     hall_bootstrap_cd,
     mean_block,
@@ -40,6 +44,9 @@ from .bootstrap import (
 from .cd_core import (
     ConfidenceDistribution,
     _interval_probs,
+    _sample_h,
+    _sample_rank,
+    _step_levels,
     cd_eval,
     cd_quantile,
     family_block,
@@ -97,7 +104,9 @@ _SUPPORTED = {
 # params keys, in the order config errors list them, with the value each takes when absent
 _PARAM_DEFAULTS = {"sigma": 1.0, "mean": 0.0, "B": 1000, "grid_size": 256}
 
-_BOOTSTRAP = {"raw-bootstrap", "reflected-bootstrap", "bootstrap-t", "hall-bootstrap"}
+# bootstrap recipe -> its variant, as bootstrap.atom_rows names it
+_BOOTSTRAP = {"raw-bootstrap": "raw", "reflected-bootstrap": "reflected",
+              "bootstrap-t": "bootstrap-t", "hall-bootstrap": "hall"}
 
 # model -> its exact CD, from the data array and the known sigma (None when unknown);
 # each row looks its constructor up when called, so a patched global sees each build
@@ -256,6 +265,13 @@ class CdGenerator:
         loc, scale = self._normal_approx(data)
         return "location-scale", {"loc": loc, "scale": scale, "df": None}, True
 
+    def atom_rows(self, data: np.ndarray, indices) -> tuple:
+        """``bootstrap.atom_rows`` of a bootstrap recipe on the rows of data; row j
+        resamples from the stream (master_seed, indices[j], 1), as its one-row
+        build does."""
+        rngs = map(pk.pcg64_generator, pk.stream_words(self.master_seed, indices, (1,)))
+        return atom_rows(_BOOTSTRAP[self.constructor], data, rngs, self._param("B"))
+
     def _normal_approx(self, data):
         """A known-sigma normal approximation's (loc, scale) along data's last axis."""
         centre, factor = _ASYMPTOTIC[self.constructor]
@@ -355,20 +371,44 @@ def _read_block(gen: CdGenerator, levels, block):
     replicates of block whose CDs build.
 
     A block_born recipe's block is one family CD over the rows that pass its
-    checks, read by one cd_eval and one cd_quantile; any other recipe's CDs
-    are built and read one replicate at a time, and one whose build raises a
-    CdkitError is dropped."""
-    if gen.block_born:
-        cds = [family_block(*gen.family_rows(gen.draw_block(block)))[0]]
-    else:
-        cds = [cd for cd in map(partial(_replicate_summary, gen), block) if cd is not None]
+    checks, read by one cd_eval and one cd_quantile; any other recipe's
+    replicates are read by ``_read_rows``."""
     k = len(levels)  # read at the k lower interval ends, the k upper ends, then 0.5
     probs = np.array([_interval_probs(lv)[i] for i in (0, 1) for lv in levels] + [0.5])
     theta0 = gen.theta0
-    u = np.concatenate([np.empty(0)] + [cd_eval(cd, np.array([theta0])) for cd in cds])
-    q = np.concatenate([np.empty((2 * k + 1, 0))] + [cd_quantile(cd, probs[:, None])
-                                                     for cd in cds], axis=1)
+    if gen.block_born:
+        cd = family_block(*gen.family_rows(gen.draw_block(block)))[0]
+        u, q = cd_eval(cd, np.array([theta0])), cd_quantile(cd, probs[:, None])
+    else:
+        u, q = _read_rows(gen, probs, block)
     return u, (q[:k] <= theta0) & (theta0 <= q[k:2 * k]), q[-1] <= theta0
+
+
+def _read_rows(gen: CdGenerator, probs, block):
+    """(u-values, quantiles at probs) of the replicates of block whose CDs build,
+    in index order.  A bootstrap recipe's rows that pass ``atom_rows``'s checks
+    are read off one stable sort of their atoms by the sample CD's rules, rows
+    of one kept count at one index array; every other replicate is built alone,
+    and dropped when its build raises a CdkitError."""
+    u, q = np.empty(len(block)), np.empty((probs.size, len(block)))
+    ok = np.zeros(len(block), bool)
+    if gen.constructor in _BOOTSTRAP:
+        atoms, kept, ok = gen.atom_rows(gen.draw_block(block), block)
+        atoms.sort(axis=1, kind="stable")
+        cols = np.flatnonzero(ok)
+        for size in np.unique(kept):
+            rows = kept == size
+            sub = atoms if rows.all() else atoms[rows]
+            levels = _step_levels(size)
+            u[cols[rows]] = _sample_h(levels, np.sum(sub <= gen.theta0, axis=1))
+            q[:, cols[rows]] = sub[:, _sample_rank(levels, probs)].T
+    built = ok.copy()
+    for j in np.flatnonzero(~ok):
+        cd = _replicate_summary(gen, block[j])
+        if cd is not None:
+            built[j] = True
+            u[j], q[:, j] = cd_eval(cd, gen.theta0), cd_quantile(cd, probs)
+    return u[built], q[:, built]
 
 
 def calibrate(gen: CdGenerator, reps: int, levels=_DEFAULT_LEVELS) -> CalibrationReport:

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -525,3 +528,113 @@ class TestBlockRead:
         serial = report_to_json(calibrate(gen, _REPS, _LEVELS))
         monkeypatch.setenv("CDKIT_THREADS", "2")
         assert report_to_json(calibrate(gen, _REPS, _LEVELS)) == serial
+
+
+# ---------------------------------------------------------------------------
+# bootstrap blocks: calibrate resamples a block of bootstrap replicates as rows
+
+_BOOTSTRAPS = ("raw-bootstrap", "reflected-bootstrap", "bootstrap-t", "hall-bootstrap")
+_BOOT_REPS = 2 * _REPLICATE_BLOCK + 88  # blocks of 256, 256 and 88
+
+
+def _reads_one_at_a_time(gen, reps):
+    """(u-values, (k, m) interval hits, medians at or below theta0) of the
+    replicates whose one-row build succeeds, each CD built and read alone."""
+    u, hits, below = [], [], []
+    k = len(_LEVELS)
+    for i in range(reps):
+        try:
+            cd = gen.build_cd(gen.draw_data(i), i)
+        except CdkitError:
+            continue
+        q = cd_quantile(cd, _PROBS)
+        u.append(cd_eval(cd, np.array([gen.theta0])))
+        hits.append((q[:k] <= gen.theta0) & (gen.theta0 <= q[k:2 * k]))
+        below.append(q[-1] <= gen.theta0)
+    return np.concatenate(u), np.array(hits).T, np.array(below)
+
+
+def _block_reads(gen, reps):
+    reads = run_replicates(partial(simlab._read_block, gen, _LEVELS), range(reps))
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*reads))
+
+
+def _assert_reads_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBootstrapBlocks:
+    @pytest.mark.parametrize("constructor", _BOOTSTRAPS)
+    @pytest.mark.parametrize("n, b", [(20, 1000), (25, 100), (100, 200)])
+    def test_block_reads_equal_one_row_reads_bit_for_bit(self, monkeypatch, constructor, n, b):
+        gen = CdGenerator("normal-mean-unknown-sigma", constructor, n, -0.4, 613, {"B": b})
+        want = _reads_one_at_a_time(gen, _BOOT_REPS)
+        assert want[0].size == _BOOT_REPS
+        # and the first rows' atoms are their one-row CDs' atoms, sorted
+        block = range(40)
+        atoms, kept, ok = gen.atom_rows(gen.draw_block(block), block)
+        assert ok.all() and (kept == b).all()
+        for i in block:
+            one = gen.build_cd(gen.draw_data(i), i).atoms
+            assert np.sort(atoms[i], kind="stable").tobytes() == one.tobytes()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CDKIT_THREADS", threads)
+            _assert_reads_equal(_block_reads(gen, _BOOT_REPS), want)
+
+    @pytest.mark.parametrize("constructor", _BOOTSTRAPS)
+    def test_injected_rows_fail_or_keep_their_own_count_as_one_row_builds_do(
+            self, monkeypatch, constructor):
+        gen = CdGenerator("normal-mean-unknown-sigma", constructor, 25, 0.3, 29, {"B": 200})
+        draw = CdGenerator.draw_block
+        nan_row, constant_row, huge_rows = 5, _REPLICATE_BLOCK + 1, (300, _BOOT_REPS - 3)
+
+        def injected(self, indices):
+            data = draw(self, indices)
+            for j, i in enumerate(indices):
+                if i == nan_row:
+                    data[j, 3] = math.nan
+                elif i == constant_row:
+                    data[j] = 1.5
+                elif i in huge_rows:
+                    # resamples that draw this point twice have a mean that overflows
+                    data[j, 7] = 1e308
+            return data
+
+        monkeypatch.setattr(CdGenerator, "draw_block", injected)
+        # the one-row builds warn where resample means overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = _reads_one_at_a_time(gen, _BOOT_REPS)
+            if constructor == "raw-bootstrap":
+                assert gen.build_cd(gen.draw_data(300), 300).meta["excluded"] > 0
+            for threads in ("1", "2"):
+                monkeypatch.setenv("CDKIT_THREADS", threads)
+                _assert_reads_equal(_block_reads(gen, _BOOT_REPS), want)
+                report = calibrate(gen, _BOOT_REPS, _LEVELS)
+                assert report.failures == _BOOT_REPS - want[0].size > 0
+                assert report.u_values.tobytes() == want[0].tobytes()
+        # the NaN fails every recipe, the constant sample only bootstrap-t and Hall
+        assert not _builds(gen, gen.draw_data(nan_row), nan_row)
+        assert _builds(gen, gen.draw_data(constant_row), constant_row) == (
+            constructor in ("raw-bootstrap", "reflected-bootstrap"))
+
+    def test_hall_below_twenty_points_drops_every_replicate(self):
+        gen = CdGenerator("normal-mean-unknown-sigma", "hall-bootstrap", 19, 0.3, 29)
+        with pytest.raises(InsufficientDataError, match="only 0 usable replicates of 100"):
+            calibrate(gen, 100)
+
+    def test_a_raw_block_at_b_1000_stays_flat_in_memory(self, monkeypatch):
+        # one block of 256 replicates at n=100: the resamples are gathered a
+        # row at a time, so the block never holds (256, 1000, 100) doubles
+        monkeypatch.setenv("CDKIT_THREADS", "1")
+        gen = CdGenerator("normal-mean-unknown-sigma", "raw-bootstrap", 100, 0.3, 5,
+                          {"B": 1000})
+        calibrate(gen, 100)
+        tracemalloc.start()
+        try:
+            calibrate(gen, _REPLICATE_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
